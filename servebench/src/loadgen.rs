@@ -117,7 +117,7 @@ pub struct Op {
 
 /// Pre-encoded request frames (request id zeroed), patched with the real
 /// request id at send time.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct Frames {
     bytes: Vec<u8>,
     spans: Vec<(usize, usize)>,

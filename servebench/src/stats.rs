@@ -117,10 +117,14 @@ pub fn step_passes(step: &StepOutcome, limits: &StepLimits) -> bool {
         && step.failed_share <= limits.failed_share
 }
 
+/// Consecutive failing steps that end a ladder walk. Fewer failures in a
+/// row are taken as a slow stretch of the machine, not the server's limit:
+/// a passing step above them still counts.
+pub const STOP_AFTER_FAILURES: usize = 3;
+
 /// The highest passing rate of an ascending ladder. The ladder is walked
-/// upwards and stops after two consecutive failing steps; a passing step
-/// above a single failure still counts (one noisy step does not end the
-/// climb). `None` when no step passed.
+/// upwards and stops after [`STOP_AFTER_FAILURES`] consecutive failing
+/// steps. `None` when no step passed.
 pub fn max_passing_rate(steps: &[StepOutcome], limits: &StepLimits) -> Option<f64> {
     let mut best = None;
     let mut failures = 0;
@@ -130,7 +134,7 @@ pub fn max_passing_rate(steps: &[StepOutcome], limits: &StepLimits) -> Option<f6
             failures = 0;
         } else {
             failures += 1;
-            if failures >= 2 {
+            if failures >= STOP_AFTER_FAILURES {
                 break;
             }
         }
@@ -138,11 +142,12 @@ pub fn max_passing_rate(steps: &[StepOutcome], limits: &StepLimits) -> Option<f6
     best
 }
 
-/// Whether a ladder walk over `outcomes_so_far` should stop (two
-/// consecutive failing steps at its top).
+/// Whether a ladder walk over `outcomes_so_far` should stop
+/// ([`STOP_AFTER_FAILURES`] consecutive failing steps at its top).
 pub fn ladder_should_stop(outcomes_so_far: &[StepOutcome], limits: &StepLimits) -> bool {
-    outcomes_so_far.len() >= 2
-        && outcomes_so_far[outcomes_so_far.len() - 2..].iter().all(|s| !step_passes(s, limits))
+    let n = outcomes_so_far.len();
+    n >= STOP_AFTER_FAILURES
+        && outcomes_so_far[n - STOP_AFTER_FAILURES..].iter().all(|s| !step_passes(s, limits))
 }
 
 /// Backlog test: the outstanding-request count at the end of a phase
@@ -288,15 +293,27 @@ mod tests {
     }
 
     #[test]
-    fn ladder_takes_highest_passing_rate_and_stops_after_two_failures() {
+    fn ladder_takes_highest_passing_rate_and_stops_after_three_failures() {
         let limits = StepLimits { p99_us: 1000.0, failed_share: 0.01 };
-        let steps = [step(100.0, 10.0), step(110.0, 20.0), step(120.0, 5000.0), step(130.0, 30.0)];
+        let steps = [
+            step(100.0, 10.0),
+            step(110.0, 5000.0),
+            step(120.0, 5000.0),
+            step(130.0, 30.0),
+            step(140.0, 5000.0),
+        ];
         assert_eq!(max_passing_rate(&steps, &limits), Some(130.0));
-        let steps =
-            [step(100.0, 10.0), step(110.0, 5000.0), step(120.0, 5000.0), step(130.0, 30.0)];
+        assert!(!ladder_should_stop(&steps[..3], &limits));
+        let steps = [
+            step(100.0, 10.0),
+            step(110.0, 5000.0),
+            step(120.0, 5000.0),
+            step(130.0, 5000.0),
+            step(140.0, 30.0),
+        ];
         assert_eq!(max_passing_rate(&steps, &limits), Some(100.0));
-        assert!(ladder_should_stop(&steps[..3], &limits));
-        assert!(!ladder_should_stop(&steps[..2], &limits));
+        assert!(ladder_should_stop(&steps[..4], &limits));
+        assert!(!ladder_should_stop(&steps[..3], &limits));
         assert_eq!(max_passing_rate(&[step(100.0, 5000.0)], &limits), None);
     }
 

@@ -24,8 +24,11 @@ use std::time::{Duration, Instant};
 // Fixed workload parameters (see README.md for why each value was chosen).
 // ---------------------------------------------------------------------------
 
-/// Set-ups per run; `setup_s` is their median.
-const SETUP_REPEATS: usize = 5;
+/// Set-ups timed at the start of a run; the last one serves the run.
+const SET_UPS_AT_START: usize = 2;
+/// Set-ups timed at the end of a run, after the serving stack is shut
+/// down. `setup_s` is the shortest of all five.
+const SET_UPS_AT_END: usize = 3;
 /// Most windows the nominal phase is split into (each keeps ≥ 1,000
 /// requests): `p50_us` is the median of the per-window medians and
 /// `p99_us` the lowest per-window p99.
@@ -37,13 +40,17 @@ const LADDER_WINDOWS: usize = 5;
 const NOMINAL_SHARE: f64 = 0.4;
 /// The same share on `drift-census`, whose nominal phase holds the drift.
 const DRIFT_SHARE: f64 = 0.6;
+/// Walks up the ladder per run; `max_rate_qps` is the highest rate that
+/// passed in any of them, so one walk cut short by a burst of load from
+/// outside the program does not set it.
+const LADDER_WALKS: usize = 2;
+/// Ladder steps that share the ladder's seconds. The ladders run to twice
+/// the rate the baseline sustains and a walk stops after three failing
+/// steps, so the two walks of a run take about this many steps at the
+/// baseline.
+const LADDER_SLOTS: f64 = 28.0;
 /// Largest median send lateness before a phase is invalid (µs).
 const LATE_LIMIT_US: f64 = 1_000.0;
-/// Send lateness p99 (µs) above which the generator was starved of CPU
-/// and the nominal phase is repeated.
-const STARVED_LATE_P99_US: f64 = 2_000.0;
-/// Most attempts at the nominal phase of `rand-dmv`.
-const NOMINAL_ATTEMPTS: usize = 3;
 /// Largest overrun of the sender past its last scheduled send (µs).
 const OVERRUN_LIMIT_US: f64 = 20_000.0;
 /// How long a phase waits for outstanding replies after its last send.
@@ -71,11 +78,11 @@ fn plan(workload: &str) -> Plan {
     // already fails the p99; the failed-share limit says the same.
     let limits = StepLimits { p99_us: 25_000.0, failed_share: 0.01 };
     match workload {
-        "rand-dmv" => Plan { nominal_rate: 4_000.0, ladder: ladder(24_000.0, 1.05, 14), limits },
+        "rand-dmv" => Plan { nominal_rate: 4_000.0, ladder: ladder(24_000.0, 1.05, 24), limits },
         "hot-fleet" => Plan { nominal_rate: 2_000.0, ladder: ladder(4_000.0, 1.06, 10), limits },
         // 800 reads/s over two connections keeps a half-second retrain
         // stall under the 256-request pipeline window of each connection.
-        _ => Plan { nominal_rate: 800.0, ladder: ladder(90_000.0, 1.05, 14), limits },
+        _ => Plan { nominal_rate: 800.0, ladder: ladder(90_000.0, 1.05, 26), limits },
     }
 }
 
@@ -110,7 +117,6 @@ impl Report {
             .metrics
             .iter()
             .map(|(name, value, unit)| {
-                let value = if value.is_finite() { *value } else { -1.0 };
                 format!("\"{name}\": {{\"value\": {value:?}, \"unit\": \"{unit}\"}}")
             })
             .collect();
@@ -244,6 +250,47 @@ fn base_rows(table: &Table, n: usize, rng: &mut SmallRng) -> Vec<Vec<u32>> {
     (0..n).map(|_| table.row_ids(rng.gen_range(0..table.num_rows()))).collect()
 }
 
+/// Rand-Q queries against one table, each distinct from every query drawn
+/// before (compared by their encoded request frames).
+struct DistinctQueries<'a> {
+    table: &'a Table,
+    seed: u64,
+    batch: u64,
+    seen: std::collections::HashSet<u64>,
+}
+
+impl<'a> DistinctQueries<'a> {
+    fn new(table: &'a Table, seed: u64) -> Self {
+        Self { table, seed, batch: 0, seen: Default::default() }
+    }
+
+    /// The next `n` distinct queries.
+    fn take(&mut self, n: usize) -> Vec<ReadQuery> {
+        use std::hash::{Hash, Hasher};
+        let mut out = Vec::with_capacity(n);
+        let mut key = Vec::new();
+        while out.len() < n {
+            let queries = WorkloadSpec::random(self.table, 4_096, self.seed + self.batch)
+                .generate(self.table);
+            self.batch += 1;
+            for q in queries {
+                let rq = read_query(0, self.table, q);
+                key.clear();
+                frame::encode_request(&mut key, 0, 0, 0, &rq.preds, &rq.intervals);
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                key.hash(&mut h);
+                if self.seen.insert(h.finish()) {
+                    out.push(rq);
+                    if out.len() == n {
+                        break;
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Serving set-up.
 // ---------------------------------------------------------------------------
@@ -350,27 +397,61 @@ fn set_up(
     Ok((served, models, epochs, started.elapsed().as_secs_f64()))
 }
 
-/// Set up `SETUP_REPEATS` times, keeping the last stack; returns it with
-/// the median set-up time.
-fn set_up_repeated(
+/// A serving stack with the models it was set up with and their training
+/// statistics.
+type Stack = (Served, Vec<DuetEstimator>, Vec<EpochStats>);
+
+/// Set up `n` times, shutting down all but the last stack, and append each
+/// set-up time to `times`. Returns the last stack (`None` when `n` is 0)
+/// with its trained models and training statistics.
+fn set_up_times(
     inputs: &[ModelInput],
     spec: &SetupSpec<'_>,
-) -> Result<(Served, Vec<DuetEstimator>, Vec<EpochStats>, f64), String> {
-    let mut times = Vec::new();
-    let mut last: Option<(Served, Vec<DuetEstimator>, Vec<EpochStats>)> = None;
-    for _ in 0..SETUP_REPEATS {
+    n: usize,
+    times: &mut Vec<f64>,
+) -> Result<Option<Stack>, String> {
+    let mut last: Option<Stack> = None;
+    for _ in 0..n {
         if let Some((served, ..)) = last.take() {
-            Served::shutdown(served);
-            if let Some(dir) = &spec.spill_dir {
-                let _ = std::fs::remove_dir_all(dir);
-            }
+            shut_down(served, spec);
         }
         let (served, models, epochs, secs) = set_up(inputs, spec)?;
         times.push(secs);
         last = Some((served, models, epochs));
     }
-    let (served, models, epochs) = last.expect("at least one set-up");
-    Ok((served, models, epochs, stats::median(&times)))
+    Ok(last)
+}
+
+fn shut_down(served: Served, spec: &SetupSpec<'_>) {
+    Served::shutdown(served);
+    if let Some(dir) = &spec.spill_dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// End a run: shut the serving stack down and, in an untraced run, set up
+/// `SET_UPS_AT_END` more times and report `setup_s`, the shortest set-up of
+/// the run. On a shared machine the speed of a core swings by a third from
+/// one second to the next; set-ups at both ends of the run and the shortest
+/// of them keep a slow stretch from setting the figure.
+fn end_run(
+    result: Result<Report, String>,
+    served: Served,
+    inputs: &[ModelInput],
+    spec: &SetupSpec<'_>,
+    mut times: Vec<f64>,
+    args: &Args,
+) -> Result<Report, String> {
+    shut_down(served, spec);
+    let mut report = result?;
+    if !args.trace {
+        if let Some((served, ..)) = set_up_times(inputs, spec, SET_UPS_AT_END, &mut times)? {
+            shut_down(served, spec);
+        }
+        report.note(format!("set-up times {times:.3?} s"));
+        report.metric("setup_s", times.iter().copied().fold(f64::INFINITY, f64::min), "s");
+    }
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -514,6 +595,26 @@ fn eval_phase(res: &PhaseResult, ops: &[Op], kind: OpKind, max_windows: usize) -
     }
 }
 
+/// At the nominal rate nothing may fail: the first op answered non-`Ok`
+/// fails the run.
+fn check_all_ok(
+    workload: &str,
+    phase: &str,
+    res: &PhaseResult,
+    ops: &[Op],
+    id_base: u64,
+) -> Result<(), String> {
+    match (0..ops.len()).find(|&i| !res.ok(i)) {
+        Some(i) => Err(gate(
+            workload,
+            phase,
+            id_base + i as u64,
+            format!("{:?} answered status {}", ops[i].kind, res.status[i]),
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Every op must get exactly one reply.
 fn check_replies(
     workload: &str,
@@ -557,54 +658,86 @@ fn read_ops(
         .collect()
 }
 
-/// Walk the fixed ladder and return the highest passing rate (0 if none);
-/// `make_ops(step, rate, seconds)` builds each step's ops and
-/// `check(res, ops, base)` runs the correctness gate on each step.
-fn run_ladder(
-    served: &Served,
-    plan: &Plan,
-    step_seconds: f64,
-    frames: &Frames,
-    mut make_ops: impl FnMut(usize, f64, f64) -> Vec<Op>,
-    mut check: impl FnMut(&PhaseResult, &[Op], u64) -> Result<(), String>,
-) -> Result<f64, String> {
-    let mut steps: Vec<StepOutcome> = Vec::new();
-    for (k, &rate) in plan.ladder.iter().enumerate() {
-        let ops = make_ops(k, rate, step_seconds);
-        let base = (10 + k as u64) << 32;
-        let (res, _) = watched_phase(served, &ops, frames, base, false, None)?;
-        check(&res, &ops, base)?;
-        let ev = eval_phase(&res, &ops, OpKind::Read, LADDER_WINDOWS);
-        let outcome = StepOutcome {
-            rate,
-            p99_us: ev.p99,
-            failed_share: ev.failed_share,
-            backlog_grew: ev.backlog_grew,
-            valid: ev.valid,
-        };
-        println!(
-            "# ladder {:>6.0} q/s: p99 {:>9.1} µs over {} ok, failed {:.4}, backlog grew {}, generator valid {} (late p99 {:.0} µs) -> {}",
-            rate,
-            outcome.p99_us,
-            ev.samples,
-            outcome.failed_share,
-            outcome.backlog_grew,
-            outcome.valid,
-            ev.late_p99,
-            if stats::step_passes(&outcome, &plan.limits) { "pass" } else { "fail" }
-        );
-        steps.push(outcome);
-        if stats::ladder_should_stop(&steps, &plan.limits) {
-            break;
-        }
-        // Let queues empty before the next step.
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    Ok(stats::max_passing_rate(&steps, &plan.limits).unwrap_or(0.0))
+/// One ladder step's requests: their ops and frames, and by op tag the
+/// direct estimate and the exact cardinality each answer is checked against.
+struct LadderStep {
+    ops: Vec<Op>,
+    frames: Frames,
+    expected: Vec<f64>,
+    truth: Vec<u64>,
 }
 
-/// Resident set size of this process in MiB.
+/// Walk the fixed ladder `LADDER_WALKS` times, building each step's
+/// requests with `make_step(rate, seconds)` just before the step runs, and
+/// hold every step to the correctness gate. Returns the highest rate that
+/// passed in any walk (0 if none) and the q-error of every `Ok` answer.
+fn run_ladder(
+    served: &Served,
+    workload: &str,
+    plan: &Plan,
+    step_seconds: f64,
+    mut make_step: impl FnMut(f64, f64) -> LadderStep,
+) -> Result<(f64, Vec<f64>), String> {
+    let mut best = 0.0f64;
+    let mut qerrs = Vec::new();
+    for walk in 0..LADDER_WALKS {
+        let mut steps: Vec<StepOutcome> = Vec::new();
+        for (k, &rate) in plan.ladder.iter().enumerate() {
+            let step = make_step(rate, step_seconds);
+            let base = (16 + (walk * plan.ladder.len() + k) as u64) << 32;
+            let (res, _) = watched_phase(served, &step.ops, &step.frames, base, false, None)?;
+            check_bit_identical(workload, "ladder", &res, &step.ops, base, &step.expected)?;
+            qerrs.extend(
+                (0..step.ops.len())
+                    .filter(|&i| res.ok(i))
+                    .map(|i| q_error(res.value[i], step.truth[step.ops[i].tag as usize] as f64)),
+            );
+            let ev = eval_phase(&res, &step.ops, OpKind::Read, LADDER_WINDOWS);
+            let outcome = StepOutcome {
+                rate,
+                p99_us: ev.p99,
+                failed_share: ev.failed_share,
+                backlog_grew: ev.backlog_grew,
+                valid: ev.valid,
+            };
+            println!(
+                "# ladder walk {walk} {:>6.0} q/s: p99 {:>9.1} µs over {} ok, failed {:.4}, backlog grew {}, generator valid {} (late p99 {:.0} µs) -> {}",
+                rate,
+                outcome.p99_us,
+                ev.samples,
+                outcome.failed_share,
+                outcome.backlog_grew,
+                outcome.valid,
+                ev.late_p99,
+                if stats::step_passes(&outcome, &plan.limits) { "pass" } else { "fail" }
+            );
+            steps.push(outcome);
+            if stats::ladder_should_stop(&steps, &plan.limits) {
+                break;
+            }
+            // Let queues empty before the next step.
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        best = best.max(stats::max_passing_rate(&steps, &plan.limits).unwrap_or(0.0));
+    }
+    Ok((best, qerrs))
+}
+
+extern "C" {
+    /// glibc: hand the allocator's free memory back to the kernel.
+    fn malloc_trim(pad: usize) -> std::ffi::c_int;
+}
+
+/// Resident set size of this process in MiB. The allocator's free memory
+/// is handed back first, so the figure counts live memory rather than what
+/// the multi-threaded training and labelling before it left in the
+/// allocator's free lists, which varies from run to run.
 fn rss_mb() -> f64 {
+    // SAFETY: malloc_trim takes no pointers and only releases free memory
+    // the allocator holds; live allocations are untouched.
+    unsafe {
+        malloc_trim(0);
+    }
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
@@ -624,6 +757,63 @@ fn direct(model: &DuetEstimator, queries: &[&ReadQuery]) -> Vec<f64> {
         out.extend(model.estimate_encoded_batch(&rows, &ivs));
     }
     out
+}
+
+/// Queries of the layer timings kept in [`Encoded::sample`].
+const LAYER_SAMPLE: usize = 256;
+
+/// Requests in the form a phase needs: encoded frames (frame `i` is
+/// request `i`) and, per request, the direct estimate and the exact
+/// cardinality its answer is checked against. `sample` keeps the first
+/// queries for the layer timings.
+#[derive(Default)]
+struct Encoded {
+    frames: Frames,
+    expected: Vec<f64>,
+    truth: Vec<u64>,
+    sample: Vec<ReadQuery>,
+}
+
+impl Encoded {
+    fn len(&self) -> usize {
+        self.expected.len()
+    }
+
+    fn extend(&mut self, queries: &[ReadQuery], models: &[DuetEstimator], inputs: &[ModelInput]) {
+        for q in queries {
+            encode_read(q, &mut self.frames);
+        }
+        self.expected.extend(expected_of(models, queries));
+        self.truth.extend(label(inputs, queries));
+        let room = LAYER_SAMPLE.saturating_sub(self.sample.len());
+        self.sample.extend(queries.iter().take(room).cloned());
+    }
+}
+
+/// Direct estimate of every query of `pool` against its table's model.
+fn expected_of(models: &[DuetEstimator], pool: &[ReadQuery]) -> Vec<f64> {
+    let mut exp = vec![f64::NAN; pool.len()];
+    for (t, model) in models.iter().enumerate() {
+        let idx: Vec<usize> = (0..pool.len()).filter(|&q| pool[q].table == t).collect();
+        let refs: Vec<&ReadQuery> = idx.iter().map(|&q| &pool[q]).collect();
+        for (&q, v) in idx.iter().zip(direct(model, &refs)) {
+            exp[q] = v;
+        }
+    }
+    exp
+}
+
+/// Exact cardinality of every query of `pool` against its table.
+fn label(inputs: &[ModelInput], pool: &[ReadQuery]) -> Vec<u64> {
+    let mut truth = vec![0; pool.len()];
+    for (t, input) in inputs.iter().enumerate() {
+        let idx: Vec<usize> = (0..pool.len()).filter(|&q| pool[q].table == t).collect();
+        let queries: Vec<Query> = idx.iter().map(|&q| pool[q].query.clone()).collect();
+        for (&q, card) in idx.iter().zip(label_workload(&input.table, &queries)) {
+            truth[q] = card;
+        }
+    }
+    truth
 }
 
 /// Compare every `Ok` read of a phase bit-for-bit against `expected[tag]`.
@@ -679,14 +869,7 @@ fn online_tail(
     let (res, watched) =
         watched_phase(served, &ops, &frames, base, false, Some(Duration::from_secs(20)))?;
     check_replies(workload, "online-tail", &res, base)?;
-    if let Some(i) = (0..ops.len()).find(|&i| !res.ok(i)) {
-        return Err(gate(
-            workload,
-            "online-tail",
-            base + i as u64,
-            format!("ingest answered status {}", res.status[i]),
-        ));
-    }
+    check_all_ok(workload, "online-tail", &res, &ops, base)?;
     let publish_ns =
         watched.publish_ns.ok_or_else(|| format!("{workload}: the online tail never published"))?;
     let lat: Vec<f64> = (0..ops.len()).filter_map(|i| res.latency_us(i)).collect();
@@ -699,13 +882,20 @@ fn online_tail(
 
 /// Run the workload named in `args`.
 pub fn run(args: &Args) -> Result<Report, String> {
-    match args.workload.as_str() {
-        "rand-dmv" | "hot-fleet" => run_read_workload(args),
-        "drift-census" => run_drift(args),
+    let report = match args.workload.as_str() {
+        "rand-dmv" | "hot-fleet" => run_read_workload(args)?,
+        "drift-census" => run_drift(args)?,
         other => {
-            Err(format!("unknown workload {other}; expected rand-dmv, hot-fleet or drift-census"))
+            return Err(format!(
+                "unknown workload {other}; expected rand-dmv, hot-fleet or drift-census"
+            ))
         }
+    };
+    // JSON has no infinity: a metric without a finite value fails the run.
+    if let Some((name, value, _)) = report.metrics.iter().find(|(_, v, _)| !v.is_finite()) {
+        return Err(format!("{}: metric {name} is {value}", args.workload));
     }
+    Ok(report)
 }
 
 pub(crate) fn out_dir() -> PathBuf {
@@ -759,36 +949,22 @@ fn run_read_workload(args: &Args) -> Result<Report, String> {
     };
 
     let nominal_s = args.seconds * NOMINAL_SHARE;
-    let step_s = args.seconds * (1.0 - NOMINAL_SHARE) / plan.ladder.len() as f64;
+    let step_s = args.seconds * (1.0 - NOMINAL_SHARE) / LADDER_SLOTS;
     let nominal_times = poisson(plan.nominal_rate, nominal_s, &mut rng);
 
-    // Query pool. rand-dmv: every request distinct (nominal first, then the
-    // ladder steps). hot-fleet: a per-table pool repeated Zipf-style.
-    let mut pool: Vec<ReadQuery> = Vec::new();
+    // Queries. rand-dmv: every request distinct, drawn after set-up in
+    // chunks and kept only in encoded form, and each ladder step draws its
+    // own, so the benchmark holds little besides frames when `rss_mb` is
+    // read. hot-fleet: a per-table pool repeated Zipf-style.
     let table_zipf = Zipf::new(inputs.len(), 1.1);
     let query_zipf = Zipf::new(48, 1.0);
-    let ladder_total: usize = plan.ladder.iter().map(|r| (r * step_s * 1.2) as usize + 64).sum();
+    let mut fresh = DistinctQueries::new(&inputs[0].table, args.seed + 400);
+    let mut pool: Vec<ReadQuery> = Vec::new();
     if fleet {
         for (t, input) in inputs.iter().enumerate() {
             let qs = WorkloadSpec::random(&input.table, 48, args.seed + 300 + t as u64)
                 .generate(&input.table);
             pool.extend(qs.into_iter().map(|q| read_query(t, &input.table.schema_only(), q)));
-        }
-    } else {
-        let table = &inputs[0].table;
-        let want = nominal_times.len() + ladder_total;
-        let mut seen = std::collections::HashSet::new();
-        let mut batch = 0u64;
-        while pool.len() < want {
-            for q in WorkloadSpec::random(table, 4_096, args.seed + 400 + batch).generate(table) {
-                let rq = read_query(0, table, q);
-                let mut key = Vec::new();
-                frame::encode_request(&mut key, 0, 0, 0, &rq.preds, &rq.intervals);
-                if seen.insert(key) && pool.len() < want {
-                    pool.push(rq);
-                }
-            }
-            batch += 1;
         }
     }
     let fleet_pick = |rng: &mut SmallRng| table_zipf.sample(rng) * 48 + query_zipf.sample(rng);
@@ -797,15 +973,6 @@ fn run_read_workload(args: &Args) -> Result<Report, String> {
     } else {
         (0..nominal_times.len()).collect()
     };
-    // Truth labels for every query the nominal phase sends.
-    let mut truth = vec![u64::MAX; pool.len()];
-    for &q in &nominal_tags {
-        if truth[q] == u64::MAX {
-            truth[q] = exact_cardinality(&inputs[pool[q].table].table, &pool[q].query);
-        }
-    }
-    let mut frames = Frames::default();
-    let frame_of: Vec<u32> = pool.iter().map(|q| encode_read(q, &mut frames)).collect();
     let tail_table = 0usize;
     let tail_rows = {
         let t = &inputs[tail_table].table;
@@ -846,7 +1013,11 @@ fn run_read_workload(args: &Args) -> Result<Report, String> {
         online: Some((tail_table, &inputs[tail_table].table)),
         warmup: &warmup,
     };
-    let (served, models, epochs, setup_s) = set_up_repeated(&inputs, &spec)?;
+    let rss_inputs = rss_mb();
+    let mut setup_times = Vec::new();
+    let (served, models, epochs) =
+        set_up_times(&inputs, &spec, SET_UPS_AT_START, &mut setup_times)?
+            .expect("at least one set-up");
     let result = (|| {
         let mut c = Common {
             args,
@@ -856,48 +1027,38 @@ fn run_read_workload(args: &Args) -> Result<Report, String> {
         if !budget_note.is_empty() {
             c.report.note(budget_note.clone());
         }
-        let expected = {
-            let mut exp = vec![f64::NAN; pool.len()];
-            for (t, model) in models.iter().enumerate() {
-                let idx: Vec<usize> = (0..pool.len()).filter(|&q| pool[q].table == t).collect();
-                let refs: Vec<&ReadQuery> = idx.iter().map(|&q| &pool[q]).collect();
-                for (&q, v) in idx.iter().zip(direct(model, &refs)) {
-                    exp[q] = v;
-                }
+        let mut requests = Encoded::default();
+        if fleet {
+            requests.extend(&pool, &models, &inputs);
+        } else {
+            while requests.len() < nominal_times.len() {
+                let n = (nominal_times.len() - requests.len()).min(4_096);
+                requests.extend(&fresh.take(n), &models, &inputs);
             }
-            exp
-        };
+        }
+        let Encoded { frames, expected, truth, sample } = requests;
+        let frame_of: Vec<u32> = (0..expected.len() as u32).collect();
+        let rss_ready = rss_mb();
 
         // ---- Nominal phase. ----
         let nominal_ops = read_ops(&nominal_times, 2, &frame_of, |i| nominal_tags[i]);
-        // When the generator itself was starved of CPU, the machine was
-        // busy with something outside the program: repeat the phase (the
-        // same requests) and keep the least starved attempt.
-        let mut best: Option<((PhaseResult, Watched), PhaseEval, f64)> = None;
-        for attempt in 1..=NOMINAL_ATTEMPTS {
-            let nominal = nominal_phase(&mut c, &served, &nominal_ops, &frames)?;
-            check_bit_identical(
-                &args.workload,
-                "nominal",
-                &nominal.0,
-                &nominal_ops,
-                1 << 32,
-                &expected,
-            )?;
-            let rss = rss_mb();
-            let ev = eval_phase(&nominal.0, &nominal_ops, OpKind::Read, NOMINAL_WINDOWS);
-            let late = ev.late_p99;
-            if best.as_ref().is_none_or(|(_, b, _)| late < b.late_p99) {
-                best = Some((nominal, ev, rss));
-            }
-            if late <= STARVED_LATE_P99_US || c.args.trace {
-                break;
-            }
-            c.report.note(format!(
-                "nominal attempt {attempt}: generator starved (late p99 {late:.0} µs > {STARVED_LATE_P99_US} µs)"
-            ));
-        }
-        let (nominal, ev, rss) = best.expect("at least one nominal attempt");
+        let nominal = nominal_phase(&mut c, &served, &nominal_ops, &frames)?;
+        check_bit_identical(
+            &args.workload,
+            "nominal",
+            &nominal.0,
+            &nominal_ops,
+            1 << 32,
+            &expected,
+        )?;
+        check_all_ok(&args.workload, "nominal", &nominal.0, &nominal_ops, 1 << 32)?;
+        let rss = rss_mb();
+        let weights: usize = models.iter().map(|m| m.model().size_bytes()).sum();
+        c.report.note(format!(
+            "rss {rss:.1} MiB after the nominal phase, {rss_ready:.1} MiB before it, {rss_inputs:.1} MiB before set-up; model weights {:.2} MiB",
+            weights as f64 / (1 << 20) as f64,
+        ));
+        let ev = eval_phase(&nominal.0, &nominal_ops, OpKind::Read, NOMINAL_WINDOWS);
         if !ev.valid {
             return Err(format!(
                 "{}: the generator fell behind in the nominal phase (late p99 {:.0} µs); latencies not reported",
@@ -905,60 +1066,44 @@ fn run_read_workload(args: &Args) -> Result<Report, String> {
             ));
         }
         // Every Ok estimate of the nominal phase and the ladder counts
-        // towards the q-error; ladder queries are labelled after the run.
-        let mut served_ok: Vec<(usize, f64)> = (0..nominal_ops.len())
+        // towards the q-error.
+        let mut qerrs: Vec<f64> = (0..nominal_ops.len())
             .filter(|&i| nominal.0.ok(i))
-            .map(|i| (nominal_ops[i].tag as usize, nominal.0.value[i]))
+            .map(|i| q_error(nominal.0.value[i], truth[nominal_ops[i].tag as usize] as f64))
             .collect();
 
         // ---- Ladder. ----
-        let mut next = nominal_times.len();
         let mut lrng = SmallRng::seed_from_u64(args.seed ^ 0x1add_e400);
         let ladder = if args.trace {
             None
         } else {
-            Some(run_ladder(
-                &served,
-                &plan,
-                step_s,
-                &frames,
-                |_, rate, secs| {
+            let (rate, ladder_qerrs) =
+                run_ladder(&served, &args.workload, &plan, step_s, |rate, secs| {
                     let times = poisson(rate, secs, &mut lrng);
-                    let tags: Vec<usize> = if fleet {
-                        (0..times.len()).map(|_| fleet_pick(&mut lrng)).collect()
+                    if fleet {
+                        let tags: Vec<usize> =
+                            (0..times.len()).map(|_| fleet_pick(&mut lrng)).collect();
+                        LadderStep {
+                            ops: read_ops(&times, 2, &frame_of, |i| tags[i]),
+                            frames: frames.clone(),
+                            expected: expected.clone(),
+                            truth: truth.clone(),
+                        }
                     } else {
-                        let t = (next..next + times.len()).collect();
-                        next += times.len();
-                        t
-                    };
-                    read_ops(&times, 2, &frame_of, |i| tags[i])
-                },
-                |res, ops, base| {
-                    served_ok.extend(
-                        (0..ops.len())
-                            .filter(|&i| res.ok(i))
-                            .map(|i| (ops[i].tag as usize, res.value[i])),
-                    );
-                    check_bit_identical(&args.workload, "ladder", res, ops, base, &expected)
-                },
-            )?)
+                        let mut step = Encoded::default();
+                        step.extend(&fresh.take(times.len()), &models, &inputs);
+                        let ids: Vec<u32> = (0..times.len() as u32).collect();
+                        LadderStep {
+                            ops: read_ops(&times, 2, &ids, |i| i),
+                            frames: step.frames,
+                            expected: step.expected,
+                            truth: step.truth,
+                        }
+                    }
+                })?;
+            qerrs.extend(ladder_qerrs);
+            Some(rate)
         };
-        let unlabelled: Vec<usize> = {
-            let mut u: Vec<usize> =
-                served_ok.iter().map(|&(q, _)| q).filter(|&q| truth[q] == u64::MAX).collect();
-            u.sort_unstable();
-            u.dedup();
-            u
-        };
-        for (t, input) in inputs.iter().enumerate() {
-            let idx: Vec<usize> =
-                unlabelled.iter().copied().filter(|&q| pool[q].table == t).collect();
-            let queries: Vec<Query> = idx.iter().map(|&q| pool[q].query.clone()).collect();
-            for (&q, card) in idx.iter().zip(label_workload(&input.table, &queries)) {
-                truth[q] = card;
-            }
-        }
-        let qerrs: Vec<f64> = served_ok.iter().map(|&(q, v)| q_error(v, truth[q] as f64)).collect();
 
         // ---- Online tail (online learning was enabled at set-up). ----
         let (ingest_p99, publish_s) =
@@ -969,7 +1114,6 @@ fn run_read_workload(args: &Args) -> Result<Report, String> {
             &served,
             &plan,
             Measured {
-                setup_s,
                 eval: ev,
                 qerrs,
                 rss,
@@ -982,7 +1126,7 @@ fn run_read_workload(args: &Args) -> Result<Report, String> {
             },
             &layers::LayerInputs {
                 model: &models[0],
-                queries: &(0..pool.len().min(256)).map(|q| &pool[q]).collect::<Vec<_>>(),
+                queries: &sample.iter().collect::<Vec<_>>(),
                 frames: &frames,
                 frame_ids: &frame_of,
                 online_table: &inputs[tail_table].table,
@@ -992,11 +1136,7 @@ fn run_read_workload(args: &Args) -> Result<Report, String> {
         )?;
         Ok(c.report)
     })();
-    Served::shutdown(served);
-    if let Some(dir) = &spill_dir {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-    result
+    end_run(result, served, &inputs, &spec, setup_times, args)
 }
 
 /// Nominal phase; in traced runs it runs twice (untraced, then traced) so
@@ -1062,7 +1202,6 @@ fn record_request_spans(rec: &mut Recorder, res: &PhaseResult, ops: &[Op], base:
 
 /// Everything the end-to-end and per-layer reports are built from.
 pub(crate) struct Measured<'a> {
-    setup_s: f64,
     pub(crate) eval: PhaseEval,
     qerrs: Vec<f64>,
     rss: f64,
@@ -1102,7 +1241,6 @@ fn finish(
     ));
     if !c.args.trace {
         let r = &mut c.report;
-        r.metric("setup_s", m.setup_s, "s");
         r.metric("p50_us", ev.p50, "us");
         r.metric("p99_us", ev.p99_min, "us");
         r.metric("max_rate_qps", m.max_rate.unwrap_or(0.0), "1/s");
@@ -1235,7 +1373,11 @@ fn run_drift(args: &Args) -> Result<Report, String> {
         warmup: &warmup,
     };
     let inputs = [input];
-    let (served, models, epochs, setup_s) = set_up_repeated(&inputs, &spec)?;
+    let rss_inputs = rss_mb();
+    let mut setup_times = Vec::new();
+    let (served, models, epochs) =
+        set_up_times(&inputs, &spec, SET_UPS_AT_START, &mut setup_times)?
+            .expect("at least one set-up");
     let result = (|| {
         let mut c = Common {
             args,
@@ -1247,17 +1389,13 @@ fn run_drift(args: &Args) -> Result<Report, String> {
         let (res, watched) =
             watched_phase(&served, &ops, &frames, base, traced, Some(Duration::ZERO))?;
         let rss = rss_mb();
+        c.report.note(format!(
+            "rss {rss:.1} MiB after the drift phase, {rss_inputs:.1} MiB before set-up"
+        ));
         check_replies(&args.workload, "nominal", &res, base)?;
+        check_all_ok(&args.workload, "nominal", &res, &ops, base)?;
         for (i, op) in ops.iter().enumerate() {
-            if op.kind != OpKind::Read && !res.ok(i) {
-                return Err(gate(
-                    &args.workload,
-                    "nominal",
-                    base + i as u64,
-                    format!("{:?} answered status {}", op.kind, res.status[i]),
-                ));
-            }
-            if op.kind == OpKind::Read && res.ok(i) {
+            if op.kind == OpKind::Read {
                 let v = res.value[i];
                 if !v.is_finite() || v < 0.0 || v > final_table.num_rows() as f64 * (1.0 + 1e-9) {
                     return Err(gate(
@@ -1354,8 +1492,7 @@ fn run_drift(args: &Args) -> Result<Report, String> {
             .iter()
             .map(|&i| q_error(res.value[i], truth[ops[i].tag as usize] as f64))
             .collect();
-        let mut nominal_attempted = ops.len() as u64;
-        let mut nominal_failed = (0..ops.len()).filter(|&i| !res.ok(i)).count() as u64;
+        let nominal_attempted = ops.len() as u64;
 
         if c.recorder.is_some() {
             // Tracing overhead on the settled model: the same reads
@@ -1379,31 +1516,24 @@ fn run_drift(args: &Args) -> Result<Report, String> {
         let ladder = if args.trace {
             None
         } else {
-            let step_s = args.seconds * (1.0 - DRIFT_SHARE) / plan.ladder.len() as f64;
+            let step_s = args.seconds * (1.0 - DRIFT_SHARE) / LADDER_SLOTS;
             let mut lrng = SmallRng::seed_from_u64(args.seed ^ 0x1add_e403);
-            Some(run_ladder(
-                &served,
-                &plan,
-                step_s,
-                &frames,
-                |_, rate, secs| {
+            let (rate, ladder_qerrs) =
+                run_ladder(&served, &args.workload, &plan, step_s, |rate, secs| {
                     let times = poisson(rate, secs, &mut lrng);
                     let tags: Vec<usize> =
                         (0..times.len()).map(|_| zipf.sample(&mut lrng)).collect();
-                    read_ops(&times, 2, &read_frames, |i| tags[i])
-                },
-                |r, o, b| {
-                    qerrs.extend(
-                        (0..o.len())
-                            .filter(|&i| r.ok(i))
-                            .map(|i| q_error(r.value[i], truth[o[i].tag as usize] as f64)),
-                    );
-                    check_bit_identical(&args.workload, "ladder", r, o, b, &expected)
-                },
-            )?)
+                    LadderStep {
+                        ops: read_ops(&times, 2, &read_frames, |i| tags[i]),
+                        frames: frames.clone(),
+                        expected: expected.clone(),
+                        truth: truth.clone(),
+                    }
+                })?;
+            qerrs.extend(ladder_qerrs);
+            Some(rate)
         };
         let measured = Measured {
-            setup_s,
             eval: ev,
             qerrs,
             rss,
@@ -1435,14 +1565,10 @@ fn run_drift(args: &Args) -> Result<Report, String> {
         )?;
         // The reads, ingests and feedbacks of the drift run are all its
         // nominal operations.
-        nominal_attempted = nominal_attempted.max(c.report.attempted);
-        nominal_failed = nominal_failed.max(c.report.failed);
         c.report.attempted = nominal_attempted;
-        c.report.failed = nominal_failed;
         Ok(c.report)
     })();
-    Served::shutdown(served);
-    result
+    end_run(result, served, &inputs, &spec, setup_times, args)
 }
 
 /// Rebuild the published model: replay the online loop on a twin
