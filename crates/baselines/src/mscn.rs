@@ -15,7 +15,7 @@
 
 use duet_data::Table;
 use duet_nn::loss::mse;
-use duet_nn::{seeded_rng, Adam, GradClip, Layer, Matrix, Mlp};
+use duet_nn::{seeded_rng, Adam, GradClip, Matrix, Mlp, TrainWorkspace, Trainable};
 use duet_query::{CardinalityEstimator, PredOp, Query};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -104,6 +104,7 @@ impl MscnEstimator {
 
         let mut order: Vec<usize> = (0..queries.len()).collect();
         let mut shuffle_rng = SmallRng::seed_from_u64(seed ^ 0xabcd);
+        let mut tws = TrainWorkspace::new();
         for _ in 0..config.epochs {
             for i in (1..order.len()).rev() {
                 let j = shuffle_rng.gen_range(0..=i);
@@ -117,9 +118,9 @@ impl MscnEstimator {
                     y.set(r, 0, targets[idx]);
                 }
                 mlp.zero_grad();
-                let pred = mlp.forward(&x);
-                let (_, grad) = mse(&pred, &y);
-                let _ = mlp.backward(&grad);
+                let pred = mlp.forward_train(&x, &mut tws);
+                let (_, grad) = mse(pred, &y);
+                mlp.backward_scratch(&grad, &mut tws, false);
                 adam.step(&mut mlp);
             }
         }

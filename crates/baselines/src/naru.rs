@@ -9,8 +9,8 @@
 
 use duet_data::Table;
 use duet_nn::{
-    grouped_cross_entropy, seeded_rng, softmax_into, Adam, GradClip, Layer, Made, MadeConfig,
-    Matrix,
+    grouped_cross_entropy, seeded_rng, softmax_into, Adam, GradClip, Made, MadeConfig, Matrix,
+    TrainWorkspace, Trainable,
 };
 use duet_query::{CardinalityEstimator, Query};
 use rand::rngs::SmallRng;
@@ -371,6 +371,7 @@ pub(crate) fn train_value_model(
     let mut made = Made::new(made_config, &mut rng);
     let mut adam = Adam::new(config.learning_rate).with_clip(GradClip::Value(8.0));
     let blocks = encoder.output_sizes();
+    let mut tws = TrainWorkspace::new();
 
     let mut order: Vec<usize> = (0..table.num_rows()).collect();
     for epoch in 0..config.epochs {
@@ -400,9 +401,9 @@ pub(crate) fn train_value_model(
                 labels.push(row_labels);
             }
             made.zero_grad();
-            let logits = made.forward(&input);
-            let (loss, grad) = grouped_cross_entropy(&logits, &blocks, &labels);
-            let _ = made.backward(&grad);
+            let logits = made.forward_train(&input, &mut tws);
+            let (loss, grad) = grouped_cross_entropy(logits, &blocks, &labels);
+            made.backward_scratch(&grad, None, &mut tws, false);
             adam.step(&mut made);
             loss_sum += loss as f64;
             batches += 1;

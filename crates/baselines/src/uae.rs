@@ -17,7 +17,7 @@
 
 use crate::naru::{train_value_model, NaruConfig, NaruEpochStats, NaruEstimator, ValueEncoder};
 use duet_data::Table;
-use duet_nn::{softmax_into, Adam, GradClip, Layer, Made, Matrix};
+use duet_nn::{softmax_into, Adam, GradClip, Made, Matrix, TrainWorkspace, Trainable};
 use duet_query::{CardinalityEstimator, Query};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -195,6 +195,7 @@ fn supervised_step(
     // column stages all samples' probabilities flat (stride `size`).
     let mut probs: Vec<f32> = Vec::new();
     let mut final_probs: Vec<f32> = Vec::new();
+    let mut tws = TrainWorkspace::new();
 
     for (intervals, constrained, actual) in batch.iter().map(|p| (&p.0, &p.1, p.2)) {
         if constrained.is_empty() {
@@ -247,7 +248,7 @@ fn supervised_step(
 
         // Final column: tracked forward pass; the supervised gradient flows
         // through its logits.
-        let logits = made.forward(&input);
+        let logits = made.forward_train(&input, &mut tws);
         let (lo, hi) = intervals[last_col];
         let out_off: usize = sizes[..last_col].iter().sum();
         let size = sizes[last_col];
@@ -288,7 +289,7 @@ fn supervised_step(
                 grow[out_off + k] = (p as f64 * (in_range - mass) * dl_dmass) as f32;
             }
         }
-        let _ = made.backward(&grad_logits);
+        made.backward_scratch(&grad_logits, None, &mut tws, false);
     }
 
     adam.step(made);

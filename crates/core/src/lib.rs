@@ -54,6 +54,6 @@ pub use mpsn::{build_mpsns, ColumnMpsn, MergedMlpMpsn, MpsnScratch};
 pub use persist::{load_weights, save_weights, verify_checkpoint, CheckpointError};
 pub use trainer::{
     data_forward, measure_training_throughput, query_forward, train_model, train_model_with_eval,
-    train_step, EpochStats, ModelParams, PreparedQuery, TrainStepScratch, TrainingWorkload,
+    train_step, EpochStats, PreparedQuery, TrainStepScratch, TrainingWorkload,
 };
 pub use virtual_table::{sample_predicate, sample_virtual_batch, SamplerConfig, VirtualTuple};

@@ -7,8 +7,8 @@ use crate::encoding::{Encoder, IdPredicate};
 use crate::mpsn::{build_mpsns, ColumnMpsn, MergedMlpMpsn, MpsnScratch};
 use duet_data::Table;
 use duet_nn::{
-    seeded_rng, softmax_restricted_mass, ForwardWorkspace, InferLayer, Layer, Made, MadeConfig,
-    Matrix, Param, SoftmaxMode, SparseRows, WeightMode,
+    seeded_rng, softmax_restricted_mass, ForwardWorkspace, InferLayer, Made, MadeConfig, Matrix,
+    Param, SoftmaxMode, SparseRows, Trainable, WeightMode,
 };
 use duet_query::{PredOp, Query};
 
@@ -143,9 +143,7 @@ impl DuetModel {
         let mpsns =
             build_mpsns(config.mpsn, &encoder.block_widths(), config.mpsn_hidden, seed ^ 0xa5a5);
         let mut model = Self { config: config.clone(), encoder, made, mpsns, num_params: 0 };
-        let mut n = 0;
-        model.visit_params(&mut |p| n += p.len());
-        model.num_params = n;
+        model.num_params = model.param_count();
         model
     }
 
@@ -442,6 +440,13 @@ impl DuetModel {
     /// Model size in bytes (`f32` parameters), as reported in Table II.
     pub fn size_bytes(&self) -> usize {
         self.num_parameters() * std::mem::size_of::<f32>()
+    }
+}
+
+/// The optimizer and the checkpoint codec take the model directly.
+impl Trainable for DuetModel {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        DuetModel::visit_params(self, f);
     }
 }
 

@@ -21,8 +21,8 @@
 
 use crate::config::MpsnKind;
 use duet_nn::{
-    rowvec_matmul_into, seeded_rng, Activation, ForwardWorkspace, InferLayer, Init, Layer, Linear,
-    Matrix, Mlp, Param,
+    rowvec_matmul_into, seeded_rng, Activation, ForwardWorkspace, InferLayer, Init, Linear, Matrix,
+    Mlp, Param, TrainWorkspace, Trainable,
 };
 use rand::rngs::SmallRng;
 
@@ -164,7 +164,7 @@ impl MlpMpsn {
 
     /// `out = Σ_rows MLP(encs)`: run the stacked encodings through the MLP in
     /// one workspace-backed pass and sum the output rows (the vector-sum of
-    /// the paper, replicated in `column_sums` order for bit-identity).
+    /// the paper, accumulated row by row in ascending order).
     fn embed_into(&self, encs: &Matrix, ws: &mut MpsnScratch, out: &mut [f32]) {
         let y = self.mlp.infer_into(encs, &mut ws.nn);
         out.fill(0.0);
@@ -177,13 +177,14 @@ impl MlpMpsn {
 
     fn accumulate_grad(&mut self, preds: &[Vec<f32>], grad_out: &[f32]) {
         let batch = stack(preds);
-        let _ = self.mlp.forward(&batch);
+        let mut tws = TrainWorkspace::new();
+        let _ = self.mlp.forward_train(&batch, &mut tws);
         // The sum over predicates broadcasts the same gradient to every row.
         let mut grad = Matrix::zeros(preds.len(), self.dim);
         for r in 0..preds.len() {
             grad.row_mut(r).copy_from_slice(grad_out);
         }
-        let _ = self.mlp.backward(&grad);
+        self.mlp.backward_scratch(&grad, &mut tws, false);
     }
 
     /// Access to the underlying MLP (used by [`MergedMlpMpsn`]).
@@ -346,17 +347,19 @@ impl RecursiveMpsn {
     }
 
     fn accumulate_grad(&mut self, preds: &[Vec<f32>], grad_out: &[f32]) {
+        let dim = self.dim;
         let outs = self.run(preds);
-        let mut grad = grad_out.to_vec();
+        let mut tws = TrainWorkspace::new();
+        let mut input = Matrix::zeros(1, 2 * dim);
+        let mut grad = Matrix::from_vec(1, dim, grad_out.to_vec());
         for t in (0..preds.len()).rev() {
-            let prev = &outs[t];
-            let mut input = Vec::with_capacity(2 * self.dim);
-            input.extend_from_slice(&preds[t]);
-            input.extend_from_slice(prev);
-            let _ = self.cell.forward(&Matrix::from_vec(1, 2 * self.dim, input));
-            let gin = self.cell.backward(&Matrix::from_vec(1, self.dim, grad.clone()));
+            let row = input.row_mut(0);
+            row[..dim].copy_from_slice(&preds[t]);
+            row[dim..].copy_from_slice(&outs[t]);
+            let _ = self.cell.forward_train(&input, &mut tws);
+            self.cell.backward_scratch(&grad, &mut tws, true);
             // The second half of the input gradient flows to out_{t-1}.
-            grad = gin.as_slice()[self.dim..].to_vec();
+            grad.as_mut_slice().copy_from_slice(&tws.input_grad().row(0)[dim..]);
         }
     }
 }
@@ -578,47 +581,48 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // `idx` addresses the perturbed weight and `analytic` in lockstep
     fn mlp_gradient_matches_finite_differences() {
-        let mut rng = seeded_rng(4);
-        let mut m = ColumnMpsn::new(MpsnKind::Mlp, 4, 8, &mut rng);
-        let preds = vec![pred_vec(4, 0.4), pred_vec(4, 1.1)];
-        // Loss = dot(embed(preds), w) for a fixed w.
-        let w: Vec<f32> = vec![0.3, -0.2, 0.5, 0.1];
-        m.accumulate_grad(&preds, &w);
-        let mut analytic = Vec::new();
-        m.visit_params(&mut |p| {
-            if analytic.is_empty() {
-                analytic = p.grad.as_slice()[..4].to_vec();
-            }
-        });
-        let eps = 1e-3f32;
-        for idx in 0..4 {
-            let mut loss = [0.0f32; 2];
-            for (s, sign) in [1.0f32, -1.0].iter().enumerate() {
-                let mut first = true;
+        // Ground truth for both MLP-cell variants: the vector-sum MLP and
+        // the recursive fold (whose gradient also flows back through the
+        // cell's input into earlier steps).
+        for kind in [MpsnKind::Mlp, MpsnKind::Recursive] {
+            let mut rng = seeded_rng(4);
+            let mut m = ColumnMpsn::new(kind, 4, 8, &mut rng);
+            let preds = vec![pred_vec(4, 0.4), pred_vec(4, 1.1), pred_vec(4, 2.3)];
+            // Loss = dot(embed(preds), w) for a fixed w.
+            let w: Vec<f32> = vec![0.3, -0.2, 0.5, 0.1];
+            m.accumulate_grad(&preds, &w);
+            let mut analytic: Vec<Vec<f32>> = Vec::new();
+            m.visit_params(&mut |p| analytic.push(p.grad.as_slice().to_vec()));
+            let nudge = |m: &mut ColumnMpsn, param: usize, idx: usize, delta: f32| {
+                let mut k = 0;
                 m.visit_params(&mut |p| {
-                    if first {
-                        p.data.as_mut_slice()[idx] += sign * eps;
-                        first = false;
+                    if k == param {
+                        p.data.as_mut_slice()[idx] += delta;
                     }
+                    k += 1;
                 });
-                let e = m.embed(&preds);
-                loss[s] = e.iter().zip(&w).map(|(a, b)| a * b).sum();
-                let mut first = true;
-                m.visit_params(&mut |p| {
-                    if first {
-                        p.data.as_mut_slice()[idx] -= sign * eps;
-                        first = false;
-                    }
-                });
+            };
+            let loss = |m: &ColumnMpsn| -> f32 {
+                m.embed(&preds).iter().zip(&w).map(|(a, b)| a * b).sum()
+            };
+            let eps = 1e-3f32;
+            for (param, grads) in analytic.iter().enumerate() {
+                let n = grads.len();
+                for idx in [0, 1, n / 2, n - 1] {
+                    nudge(&mut m, param, idx, eps);
+                    let plus = loss(&m);
+                    nudge(&mut m, param, idx, -2.0 * eps);
+                    let minus = loss(&m);
+                    nudge(&mut m, param, idx, eps);
+                    let numeric = (plus - minus) / (2.0 * eps);
+                    let ga = grads[idx];
+                    assert!(
+                        (numeric - ga).abs() < 2e-2 * (1.0 + ga.abs()),
+                        "{kind:?} param {param}[{idx}]: analytic {ga}, numeric {numeric}"
+                    );
+                }
             }
-            let numeric = (loss[0] - loss[1]) / (2.0 * eps);
-            assert!(
-                (numeric - analytic[idx]).abs() < 2e-2 * (1.0 + analytic[idx].abs()),
-                "idx {idx}: analytic {}, numeric {numeric}",
-                analytic[idx]
-            );
         }
     }
 

@@ -27,7 +27,6 @@
 //! half-loaded model.
 
 use crate::estimator::DuetEstimator;
-use crate::trainer::ModelParams;
 use bytes::Bytes;
 use duet_nn::serialize::{load_params, save_params};
 
@@ -91,7 +90,7 @@ pub fn verify_checkpoint(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
 /// Serialize the estimator's weights (backbone + MPSNs) into a sealed,
 /// checksummed checkpoint (see the module docs for the frame layout).
 pub fn save_weights(estimator: &mut DuetEstimator) -> Bytes {
-    seal(&save_params(&mut ModelParams(estimator.model_mut())))
+    seal(&save_params(estimator.model_mut()))
 }
 
 /// Load a checkpoint produced by [`save_weights`] into an estimator with the
@@ -99,7 +98,7 @@ pub fn save_weights(estimator: &mut DuetEstimator) -> Bytes {
 /// truncated bytes yield a typed error before any weight is touched.
 pub fn load_weights(estimator: &mut DuetEstimator, bytes: &[u8]) -> Result<(), CheckpointError> {
     let payload = verify_checkpoint(bytes)?;
-    load_params(&mut ModelParams(estimator.model_mut()), payload)
+    load_params(estimator.model_mut(), payload)
 }
 
 #[cfg(test)]

@@ -17,8 +17,8 @@ use crate::model::{query_to_id_predicates, DuetModel, DuetWorkspace};
 use crate::virtual_table::{sample_virtual_batch, SamplerConfig, VirtualTuple};
 use duet_data::Table;
 use duet_nn::{
-    grouped_cross_entropy_with, seeded_rng, softmax_block_into, Adam, GradClip, Layer, Matrix,
-    Param, SoftmaxMode, TrainWorkspace,
+    grouped_cross_entropy_with, seeded_rng, softmax_block_into, Adam, GradClip, Matrix,
+    SoftmaxMode, TrainWorkspace,
 };
 use duet_query::Query;
 use rand::seq::SliceRandom;
@@ -177,24 +177,6 @@ impl TrainStepScratch {
     /// backward pass that was asked for it (the MPSN chain consumes this).
     pub fn input_grad(&self) -> &Matrix {
         self.nn.input_grad()
-    }
-}
-
-/// Adapter exposing a [`DuetModel`]'s parameters to the optimizer and the
-/// checkpoint codec through the [`Layer`] trait (its forward/backward are never
-/// used). Public so external drivers — benches, the zero-allocation harness —
-/// can run their own `adam.step(&mut ModelParams(&mut model))`.
-pub struct ModelParams<'a>(pub &'a mut DuetModel);
-
-impl Layer for ModelParams<'_> {
-    fn forward(&mut self, _input: &Matrix) -> Matrix {
-        unreachable!("ModelParams is only used for parameter visitation")
-    }
-    fn backward(&mut self, _grad_out: &Matrix) -> Matrix {
-        unreachable!("ModelParams is only used for parameter visitation")
-    }
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.0.visit_params(f);
     }
 }
 
@@ -572,7 +554,7 @@ where
         }
         (loss_q, mean_q)
     };
-    adam.step(&mut ModelParams(model));
+    adam.step(model);
     (data_loss, query_loss, mean_q)
 }
 
@@ -682,10 +664,10 @@ mod tests {
     }
 
     #[test]
-    fn scratch_forward_matches_layer_forward() {
+    fn scratch_forward_matches_inference_forward() {
         // The checkpointing training forward must produce the same loss and
-        // logits gradient as the plain `Layer::forward` + allocating
-        // grouped cross-entropy it replaced.
+        // logits gradient as the serving forward (`infer_into`) followed by
+        // the allocating grouped cross-entropy.
         let table = census_like(300, 25);
         let cfg = DuetConfig::small();
         let mut model = DuetModel::new(&table, &cfg, 17);
@@ -695,14 +677,13 @@ mod tests {
         let rows: Vec<usize> = (0..24).collect();
         let batch = sample_virtual_batch(&table, &rows, &sampler, &mut rng);
 
-        // Reference: the old-style allocating path.
         let mut ws = DuetWorkspace::new();
         let reference_rows: Vec<&Vec<Vec<IdPredicate>>> =
             batch.iter().map(|vt| &vt.predicates).collect();
         model.fill_input(&reference_rows, &mut ws);
         let labels: Vec<Vec<usize>> = batch.iter().map(|vt| vt.labels.clone()).collect();
         let blocks = model.output_sizes();
-        let logits = model.made_mut().forward(ws.input());
+        let logits = model.made().forward_inference(ws.input());
         let (want_loss, want_grad) = duet_nn::grouped_cross_entropy(&logits, &blocks, &labels);
 
         let mut scratch = TrainStepScratch::new();

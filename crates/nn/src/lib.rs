@@ -38,7 +38,7 @@ pub mod serialize;
 pub mod tensor;
 pub mod workspace;
 
-pub use activation::{Activation, ReLU};
+pub use activation::Activation;
 pub use init::{seeded_rng, Init};
 pub use kernels::{f16_to_f32, f32_to_f16, native_tile, with_tile, SparseRows, Tile};
 pub use linear::{Linear, MaskedLinear};
@@ -53,7 +53,7 @@ pub use math::{
 };
 pub use mlp::Mlp;
 pub use optim::{Adam, GradClip, Sgd};
-pub use param::{InferLayer, Layer, Param, WeightKey};
+pub use param::{InferLayer, Param, Trainable, WeightKey};
 pub use pool::{with_pool, ComputePool};
 pub use serialize::{load_params, save_params, CheckpointError};
 pub use tensor::{rowvec_matmul_into, Matrix};

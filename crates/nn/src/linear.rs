@@ -1,15 +1,18 @@
 //! Fully connected layers: plain [`Linear`] and [`MaskedLinear`] (the building
 //! block of MADE, where a binary mask enforces the autoregressive property).
 //!
-//! Both layers implement the training [`Layer`] trait (which caches the input
-//! for `backward`) and the allocation-free [`InferLayer`] trait; the
-//! `infer_raw` methods are the borrow-friendly building blocks composite
-//! networks (`Mlp`, `Made`) use to chain layers through one workspace.
+//! Both layers implement [`Trainable`] (parameter visitation) and the
+//! allocation-free [`InferLayer`] trait. Training runs on inherent methods:
+//! a training forward caches the layer input in place for the matching
+//! `backward_scratch`, which stages `dW`/`db` in caller buffers. The
+//! `infer_raw`/`infer_with_entry` methods are the borrow-friendly building
+//! blocks composite networks (`Mlp`, `Made`) use to chain layers through one
+//! workspace.
 
 use crate::activation::Activation;
 use crate::init::Init;
 use crate::kernels::SparseRows;
-use crate::param::{cache_input, InferLayer, Layer, Param, WeightKey};
+use crate::param::{InferLayer, Param, Trainable, WeightKey};
 use crate::tensor::Matrix;
 use crate::workspace::ForwardWorkspace;
 use rand::rngs::SmallRng;
@@ -62,11 +65,24 @@ impl Linear {
         &mut self.bias.data
     }
 
-    /// Forward pass that does not cache activations (inference-only path).
-    pub fn forward_inference(&self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.infer_raw(input, Activation::Identity, &mut out);
-        out
+    /// Training forward: caches `input_act(input)` as this layer's input for
+    /// [`Linear::backward_scratch`] (reusing the previous cache's
+    /// allocation) and writes `input_act(input) @ W + b` into `out`.
+    ///
+    /// `input_act` is the previous layer's activation, applied on the way
+    /// in: an MLP hands each layer the previous pre-activation and
+    /// [`Activation::Relu`], so the rectified hidden state lives only in
+    /// this layer's cache. Pass [`Activation::Identity`] for a raw input.
+    pub fn forward_train(&mut self, input: &Matrix, input_act: Activation, out: &mut Matrix) {
+        let x = self.cached_input.get_or_insert_with(Matrix::default);
+        x.copy_from(input);
+        input_act.apply(x.as_mut_slice());
+        x.addmm_bias_act_into(
+            &self.weight.data,
+            Some(self.bias.data.as_slice()),
+            Activation::Identity,
+            out,
+        );
     }
 
     /// Allocation-free fused forward: `out = act(input @ W + b)` written into
@@ -76,12 +92,11 @@ impl Linear {
         input.addmm_bias_act_into(&self.weight.data, Some(self.bias.data.as_slice()), act, out);
     }
 
-    /// Scratch-buffer backward: the allocation-free replacement for
-    /// [`Layer::backward`]. Stages `dW = input^T @ grad_out` in `dw` and the
-    /// bias column sums in `db` before accumulating both into the parameter
-    /// gradients (the staging keeps the accumulation order — and therefore
-    /// the bits — identical to the allocating path), and writes the input
-    /// gradient `grad_out @ W^T` into `grad_in` when the caller needs one.
+    /// Scratch-buffer backward for the most recent
+    /// [`Linear::forward_train`]. Stages `dW = input^T @ grad_out` in `dw`
+    /// and the bias column sums in `db` before accumulating both into the
+    /// parameter gradients, and writes the input gradient `grad_out @ W^T`
+    /// into `grad_in` when the caller needs one.
     ///
     /// # Panics
     /// Panics if called before a training forward cached the input.
@@ -117,28 +132,7 @@ impl InferLayer for Linear {
     }
 }
 
-impl Layer for Linear {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = input.matmul(&self.weight.data);
-        out.add_row_vector(self.bias.data.as_slice());
-        cache_input(&mut self.cached_input, input);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let input = self.cached_input.as_ref().expect("Linear::backward called before forward");
-        // dW = input^T @ grad_out
-        let dw = input.matmul_tn(grad_out);
-        self.weight.grad.add_assign(&dw);
-        // db = column sums of grad_out
-        let db = grad_out.column_sums();
-        for (g, d) in self.bias.grad.as_mut_slice().iter_mut().zip(db.iter()) {
-            *g += *d;
-        }
-        // dX = grad_out @ W^T
-        grad_out.matmul_nt(&self.weight.data)
-    }
-
+impl Trainable for Linear {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.weight);
         f(&mut self.bias);
@@ -220,9 +214,8 @@ impl MaskedLinear {
 
     /// Fused forward against an already-materialized effective weight:
     /// `out = act(input @ w + b)`. `w` must be this layer's masked effective
-    /// weight (typically a [`MaskedWeightCache`] hit); results are
-    /// bit-identical to [`MaskedLinear::infer_raw`], which materializes the
-    /// same matrix before running the same fused kernel.
+    /// weight (typically a [`MaskedWeightCache`] hit), materialized by
+    /// [`MaskedLinear::fill_masked`].
     ///
     /// [`MaskedWeightCache`]: crate::workspace::MaskedWeightCache
     pub fn infer_with_weight(&self, input: &Matrix, act: Activation, w: &Matrix, out: &mut Matrix) {
@@ -307,27 +300,24 @@ impl MaskedLinear {
     }
 
     /// Training forward through a cached masked-weight entry: caches the
-    /// input for [`Layer::backward`], then computes
+    /// input for [`MaskedLinear::backward_scratch`], then computes
     /// `out = input @ (W ⊙ M) + b` (no activation — the caller applies it so
     /// the pre-activation stays available for its ReLU gate) into a reused
     /// caller buffer.
     ///
-    /// This is the allocation-free replacement for the training
-    /// [`Layer::forward`], which materialized a fresh effective weight and a
-    /// fresh output every call: the effective weight comes from `entry`
+    /// Allocation-free once warm: the effective weight comes from `entry`
     /// (re-materialized in place only when the [`WeightKey`] moved, i.e.
     /// once per optimizer step), the output buffer is the caller's, and the
-    /// input cache reuses its previous allocation. Bit-identical to
-    /// [`Layer::forward`] for finite inputs (fused/packed kernel contract,
-    /// see `duet_nn::kernels`), and `backward` works exactly as after a
-    /// `forward` call.
+    /// input cache reuses its previous allocation. Bit-identical to the
+    /// inference forward for finite inputs (fused/packed kernel contract,
+    /// see `duet_nn::kernels`).
     pub fn train_forward_entry(
         &mut self,
         input: &Matrix,
         entry: &mut crate::workspace::MaskedEntry,
         out: &mut Matrix,
     ) {
-        cache_input(&mut self.cached_input, input);
+        self.cached_input.get_or_insert_with(Matrix::default).copy_from(input);
         self.infer_with_entry(input, Activation::Identity, entry, out);
     }
 
@@ -339,8 +329,8 @@ impl MaskedLinear {
     ///
     /// The dense input is **not** cached — the sparse capture replaces it, so
     /// the matching backward is [`backward_scratch_sparse`] with the same
-    /// capture. A subsequent [`Layer::backward`] (or dense
-    /// [`backward_scratch`](Self::backward_scratch)) panics rather than
+    /// capture. A subsequent dense
+    /// [`backward_scratch`](Self::backward_scratch) panics rather than
     /// silently using a stale input.
     ///
     /// [`train_forward_entry`]: Self::train_forward_entry
@@ -366,9 +356,8 @@ impl MaskedLinear {
     /// hit — backward runs before the optimizer bumps the
     /// [`WeightKey`], so the cached entry is exactly `W ⊙ M`). Stages the
     /// masked `dW` in `dw` and the bias column sums in `db` before
-    /// accumulating into the parameter gradients, preserving the allocating
-    /// path's accumulation order bit for bit; writes `grad_out @ w^T` into
-    /// `grad_in` when the caller needs the input gradient.
+    /// accumulating into the parameter gradients; writes `grad_out @ w^T`
+    /// into `grad_in` when the caller needs the input gradient.
     ///
     /// # Panics
     /// Panics if called before a dense training forward cached the input.
@@ -406,8 +395,8 @@ impl MaskedLinear {
     }
 
     /// Shared tail of the scratch backwards: mask `dW`, accumulate both
-    /// parameter gradients (via staging, keeping the rounding order of the
-    /// allocating path), and optionally produce the input gradient.
+    /// parameter gradients from their staging buffers, and optionally
+    /// produce the input gradient.
     fn finish_backward_scratch(
         &mut self,
         grad_out: &Matrix,
@@ -449,35 +438,6 @@ impl MaskedLinear {
     pub fn out_features(&self) -> usize {
         self.weight.data.cols()
     }
-
-    /// The effective (masked) weight matrix actually used by the forward pass.
-    pub fn effective_weight(&self) -> Matrix {
-        let mut w = self.weight.data.clone();
-        w.mul_assign(&self.mask);
-        w
-    }
-
-    /// Forward pass without caching (inference-only path).
-    pub fn forward_inference(&self, input: &Matrix) -> Matrix {
-        let mut wscratch = Matrix::zeros(0, 0);
-        let mut out = Matrix::zeros(0, 0);
-        self.infer_raw(input, Activation::Identity, &mut wscratch, &mut out);
-        out
-    }
-
-    /// Allocation-free fused forward: the masked effective weight is
-    /// materialized into `wscratch` (no allocation once warm) and
-    /// `out = act(input @ (W ⊙ M) + b)` is computed in one fused pass.
-    pub fn infer_raw(
-        &self,
-        input: &Matrix,
-        act: Activation,
-        wscratch: &mut Matrix,
-        out: &mut Matrix,
-    ) {
-        self.weight.data.masked_into(&self.mask, wscratch);
-        input.addmm_bias_act_into(wscratch, Some(self.bias.data.as_slice()), act, out);
-    }
 }
 
 impl InferLayer for MaskedLinear {
@@ -493,29 +453,7 @@ impl InferLayer for MaskedLinear {
     }
 }
 
-impl Layer for MaskedLinear {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let w = self.effective_weight();
-        let mut out = input.matmul(&w);
-        out.add_row_vector(self.bias.data.as_slice());
-        cache_input(&mut self.cached_input, input);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let input =
-            self.cached_input.as_ref().expect("MaskedLinear::backward called before forward");
-        let mut dw = input.matmul_tn(grad_out);
-        dw.mul_assign(&self.mask);
-        self.weight.grad.add_assign(&dw);
-        let db = grad_out.column_sums();
-        for (g, d) in self.bias.grad.as_mut_slice().iter_mut().zip(db.iter()) {
-            *g += *d;
-        }
-        let w = self.effective_weight();
-        grad_out.matmul_nt(&w)
-    }
-
+impl Trainable for MaskedLinear {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         // Handing out `&mut Param` may mutate the weights (optimizer step,
         // checkpoint load): conservatively invalidate derived caches.
@@ -529,6 +467,7 @@ impl Layer for MaskedLinear {
 mod tests {
     use super::*;
     use crate::init::seeded_rng;
+    use crate::workspace::MaskedWeightCache;
 
     #[test]
     fn linear_forward_shape_and_bias() {
@@ -536,10 +475,13 @@ mod tests {
         let mut layer = Linear::new(3, 2, Init::Zeros, &mut rng);
         layer.bias_mut().as_mut_slice().copy_from_slice(&[1.0, -1.0]);
         let x = Matrix::full(4, 3, 2.0);
-        let y = layer.forward(&x);
+        let mut y = Matrix::default();
+        layer.forward_train(&x, Activation::Identity, &mut y);
         assert_eq!(y.shape(), (4, 2));
         // Zero weights => output equals bias.
         assert_eq!(y.row(0), &[1.0, -1.0]);
+        let mut ws = ForwardWorkspace::new();
+        assert_eq!(layer.infer_into(&x, &mut ws), &y);
     }
 
     #[test]
@@ -547,9 +489,10 @@ mod tests {
         let mut rng = seeded_rng(2);
         let mut layer = Linear::new(2, 2, Init::KaimingUniform, &mut rng);
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let _ = layer.forward(&x);
+        layer.forward_train(&x, Activation::Identity, &mut Matrix::default());
         let g = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let gin = layer.backward(&g);
+        let (mut dw, mut db, mut gin) = (Matrix::default(), Vec::new(), Matrix::default());
+        layer.backward_scratch(&g, &mut dw, &mut db, Some(&mut gin));
         assert_eq!(gin.shape(), (1, 2));
         let mut count = 0;
         layer.visit_params(&mut |p| {
@@ -564,9 +507,10 @@ mod tests {
         let mut rng = seeded_rng(3);
         // Mask that blocks input 0 from reaching output 0.
         let mask = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 1.0]);
-        let mut layer = MaskedLinear::new(2, 2, mask, Init::KaimingUniform, &mut rng);
-        let base = layer.forward(&Matrix::from_vec(1, 2, vec![0.0, 1.0]));
-        let moved = layer.forward(&Matrix::from_vec(1, 2, vec![100.0, 1.0]));
+        let layer = MaskedLinear::new(2, 2, mask, Init::KaimingUniform, &mut rng);
+        let mut ws = ForwardWorkspace::new();
+        let base = layer.infer_into(&Matrix::from_vec(1, 2, vec![0.0, 1.0]), &mut ws).clone();
+        let moved = layer.infer_into(&Matrix::from_vec(1, 2, vec![100.0, 1.0]), &mut ws);
         // Output 0 must be unchanged when only input 0 changes.
         assert!((base.get(0, 0) - moved.get(0, 0)).abs() < 1e-6);
         // Output 1 is allowed to change (with overwhelming probability).
@@ -579,8 +523,11 @@ mod tests {
         let mask = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
         let mut layer = MaskedLinear::new(2, 2, mask.clone(), Init::KaimingUniform, &mut rng);
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let _ = layer.forward(&x);
-        let _ = layer.backward(&Matrix::full(1, 2, 1.0));
+        let mut cache = MaskedWeightCache::default();
+        let entry = cache.entry(0, layer.weight_key(), |w| layer.fill_masked(w));
+        layer.train_forward_entry(&x, entry, &mut Matrix::default());
+        let (mut dw, mut db) = (Matrix::default(), Vec::new());
+        layer.backward_scratch(&Matrix::full(1, 2, 1.0), entry.weight(), &mut dw, &mut db, None);
         layer.visit_params(&mut |p| {
             if p.data.shape() == (2, 2) {
                 // Weight gradient must be zero wherever the mask is zero.
@@ -600,6 +547,6 @@ mod tests {
     fn backward_before_forward_panics() {
         let mut rng = seeded_rng(5);
         let mut layer = Linear::new(2, 2, Init::KaimingUniform, &mut rng);
-        let _ = layer.backward(&Matrix::zeros(1, 2));
+        layer.backward_scratch(&Matrix::zeros(1, 2), &mut Matrix::default(), &mut Vec::new(), None);
     }
 }

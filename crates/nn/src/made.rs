@@ -7,11 +7,11 @@
 //! tuple values, but the masking logic is identical, so it lives here in the
 //! substrate crate.
 
-use crate::activation::Activation;
+use crate::activation::{relu_gate, Activation};
 use crate::init::Init;
 use crate::kernels::SparseRows;
 use crate::linear::MaskedLinear;
-use crate::param::{InferLayer, Layer, Param};
+use crate::param::{InferLayer, Param, Trainable};
 use crate::tensor::Matrix;
 use crate::workspace::{ForwardWorkspace, MaskedWeightCache, TrainWorkspace, WeightMode};
 use rand::rngs::SmallRng;
@@ -122,11 +122,10 @@ impl ResBlock {
     }
 
     /// Training forward `out = x + fc2(relu(fc1(x)))` that checkpoints
-    /// everything `backward` needs (pre-activation, per-linear inputs) into
-    /// reused buffers: `cached_pre` holds `fc1(x)`, `aux` the rectified
-    /// hidden state, and the masked effective weights come from the
-    /// train-workspace cache. Allocation-free once warm; `backward` works
-    /// exactly as after a [`Layer::forward`] call.
+    /// everything `backward_scratch` needs (pre-activation, per-linear
+    /// inputs) into reused buffers: `cached_pre` holds `fc1(x)`, `aux` the
+    /// rectified hidden state, and the masked effective weights come from
+    /// the train-workspace cache. Allocation-free once warm.
     fn train_forward(
         &mut self,
         x: &Matrix,
@@ -145,8 +144,8 @@ impl ResBlock {
         out.add_assign(x);
     }
 
-    /// Scratch-buffer backward mirroring [`Layer::backward`] bit for bit:
-    /// fc2's input gradient lands in `grad_act`, is ReLU-gated in place
+    /// Scratch-buffer backward: fc2's input gradient lands in `grad_act`,
+    /// is ReLU-gated in place
     /// against the checkpointed pre-activation, feeds fc1, and the identity
     /// skip adds `grad_out` into `grad_in`. The masked effective weights come
     /// from the train-workspace cache (slots `slot` / `slot + 1` — guaranteed
@@ -166,12 +165,7 @@ impl ResBlock {
         let pre = self.cached_pre.as_ref().expect("ResBlock::backward called before forward");
         let e2 = masked.entry(slot + 1, self.fc2.weight_key(), |w| self.fc2.fill_masked(w));
         self.fc2.backward_scratch(grad_out, e2.weight(), dw, db, Some(grad_act));
-        // ReLU gate.
-        for (g, p) in grad_act.as_mut_slice().iter_mut().zip(pre.as_slice().iter()) {
-            if *p <= 0.0 {
-                *g = 0.0;
-            }
-        }
+        relu_gate(grad_act.as_mut_slice(), pre.as_slice());
         let e1 = masked.entry(slot, self.fc1.weight_key(), |w| self.fc1.fill_masked(w));
         self.fc1.backward_scratch(grad_act, e1.weight(), dw, db, Some(grad_in));
         grad_in.add_assign(grad_out); // identity skip
@@ -198,35 +192,7 @@ impl ResBlock {
     }
 }
 
-impl Layer for ResBlock {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let pre = self.fc1.forward(input);
-        let mut act = pre.clone();
-        act.as_mut_slice().iter_mut().for_each(|v| {
-            if *v < 0.0 {
-                *v = 0.0
-            }
-        });
-        self.cached_pre = Some(pre);
-        let mut out = self.fc2.forward(&act);
-        out.add_assign(input);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let pre = self.cached_pre.as_ref().expect("ResBlock::backward called before forward");
-        let mut grad_act = self.fc2.backward(grad_out);
-        // ReLU gate.
-        for (g, p) in grad_act.as_mut_slice().iter_mut().zip(pre.as_slice().iter()) {
-            if *p <= 0.0 {
-                *g = 0.0;
-            }
-        }
-        let mut grad_in = self.fc1.backward(&grad_act);
-        grad_in.add_assign(grad_out); // identity skip
-        grad_in
-    }
-
+impl Trainable for ResBlock {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.fc1.visit_params(f);
         self.fc2.visit_params(f);
@@ -368,11 +334,11 @@ impl Made {
     /// forward performs **zero heap allocation** (asserted by the training
     /// phase of `tests/zero_alloc.rs`).
     ///
-    /// Semantics match [`Layer::forward`] exactly: the same logits come out
-    /// (fused/packed kernels are bit-identical to the unfused pipeline for
-    /// finite inputs, see `duet_nn::kernels`), and a subsequent
-    /// [`Layer::backward`] call consumes the caches this pass refilled. The
-    /// returned reference lives in `tws` until the next pass overwrites it.
+    /// The logits are bit-identical to [`InferLayer::infer_into`] for finite
+    /// inputs (fused/packed kernels match the unfused pipeline, see
+    /// `duet_nn::kernels`), and [`Made::backward_scratch`] consumes the
+    /// caches this pass refilled. The returned reference lives in `tws`
+    /// until the next pass overwrites it.
     pub fn forward_train<'w>(&mut self, input: &Matrix, tws: &'w mut TrainWorkspace) -> &'w Matrix {
         self.forward_train_sparse(input, None, tws)
     }
@@ -441,14 +407,12 @@ impl Made {
         &acts[num - 1]
     }
 
-    /// Scratch-buffer backward: the allocation-free replacement for
-    /// [`Layer::backward`], bit-identical to it for finite inputs. The
+    /// Scratch-buffer backward for the most recent training forward. The
     /// gradient ping-pongs through the [`TrainWorkspace`]'s three reusable
     /// buffers (three, not two: a residual block keeps its incoming gradient
     /// alive across both inner backwards for the identity skip), `dW`/`db`
     /// are staged in workspace scratch before accumulating into the
-    /// parameter gradients (preserving the allocating path's rounding
-    /// order), and every masked effective weight is a guaranteed
+    /// parameter gradients, and every masked effective weight is a guaranteed
     /// [`MaskedWeightCache`] hit because backward runs before the optimizer
     /// bumps any [`WeightKey`](crate::param::WeightKey).
     ///
@@ -500,13 +464,7 @@ impl Made {
                 Stage::MaskedRelu { linear, cached_pre } => {
                     slot -= 1;
                     let pre = cached_pre.as_ref().expect("Made::backward called before forward");
-                    // ReLU gate, in place on the live gradient.
-                    for (gv, pv) in grads[cur].as_mut_slice().iter_mut().zip(pre.as_slice().iter())
-                    {
-                        if *pv <= 0.0 {
-                            *gv = 0.0;
-                        }
-                    }
+                    relu_gate(grads[cur].as_mut_slice(), pre.as_slice());
                     let entry = masked.entry(slot, linear.weight_key(), |w| linear.fill_masked(w));
                     let want_grad_in = !is_input_stage || need_input_grad;
                     let (g_out, g_in_buf) = pick2(grads, cur);
@@ -556,7 +514,7 @@ impl InferLayer for Made {
     /// (workspace, weights) pair instead of once per batch, and re-validated
     /// by [`crate::param::WeightKey`] so optimizer steps and hot-swaps can
     /// never serve stale weights. Bit-identical to the training
-    /// [`Layer::forward`] in the default [`WeightMode::Full`]; under
+    /// [`Made::forward_train`] in the default [`WeightMode::Full`]; under
     /// [`WeightMode::Half`] (see [`ForwardWorkspace::set_weight_mode`]) the
     /// batched stages read the compressed f16 weight tier instead, trading
     /// bit-identity for bounded per-weight rounding error at half the weight
@@ -633,64 +591,7 @@ fn prefix_sums(sizes: &[usize]) -> Vec<usize> {
     out
 }
 
-impl Layer for Made {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        assert_eq!(
-            input.cols(),
-            self.config.input_width(),
-            "input width mismatch: expected {}",
-            self.config.input_width()
-        );
-        let mut x = input.clone();
-        for stage in &mut self.stages {
-            x = match stage {
-                Stage::MaskedRelu { linear, cached_pre } => {
-                    let pre = linear.forward(&x);
-                    let mut act = pre.clone();
-                    act.as_mut_slice().iter_mut().for_each(|v| {
-                        if *v < 0.0 {
-                            *v = 0.0
-                        }
-                    });
-                    *cached_pre = Some(pre);
-                    act
-                }
-                Stage::Residual(block) => block.forward(&x),
-                Stage::Output(linear) => linear.forward(&x),
-            };
-        }
-        x
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        // The last stage consumes `grad_out` by reference — no upfront clone.
-        let mut stages = self.stages.iter_mut().rev();
-        let mut grad = match stages.next().expect("MADE has at least an output stage") {
-            Stage::Output(linear) => linear.backward(grad_out),
-            Stage::Residual(block) => block.backward(grad_out),
-            Stage::MaskedRelu { .. } => {
-                unreachable!("MADE's final stage is always the output linear")
-            }
-        };
-        for stage in stages {
-            grad = match stage {
-                Stage::MaskedRelu { linear, cached_pre } => {
-                    let pre = cached_pre.as_ref().expect("Made::backward called before forward");
-                    let mut g = grad;
-                    for (gv, pv) in g.as_mut_slice().iter_mut().zip(pre.as_slice().iter()) {
-                        if *pv <= 0.0 {
-                            *gv = 0.0;
-                        }
-                    }
-                    linear.backward(&g)
-                }
-                Stage::Residual(block) => block.backward(&grad),
-                Stage::Output(linear) => linear.backward(&grad),
-            };
-        }
-        grad
-    }
-
+impl Trainable for Made {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for stage in &mut self.stages {
             match stage {
@@ -724,8 +625,9 @@ mod tests {
             let mut rng = seeded_rng(10);
             let mut made = Made::new(small_config(residual), &mut rng);
             let x = Matrix::zeros(3, 12);
-            let y = made.forward(&x);
-            assert_eq!(y.shape(), (3, 12));
+            let mut tws = TrainWorkspace::new();
+            assert_eq!(made.forward_train(&x, &mut tws).shape(), (3, 12));
+            assert_eq!(made.forward_inference(&x).shape(), (3, 12));
             assert_eq!(made.output_block(2), (8, 4));
         }
     }
@@ -736,12 +638,12 @@ mod tests {
         // any column i <= j.
         for residual in [false, true] {
             let mut rng = seeded_rng(11);
-            let mut made = Made::new(small_config(residual), &mut rng);
+            let made = Made::new(small_config(residual), &mut rng);
             let mut base_in = vec![0.3f32; 12];
             for (i, v) in base_in.iter_mut().enumerate() {
                 *v += i as f32 * 0.01;
             }
-            let base = made.forward(&Matrix::from_vec(1, 12, base_in.clone()));
+            let base = made.forward_inference(&Matrix::from_vec(1, 12, base_in.clone()));
             for perturb_col in 0..3usize {
                 let off = made.input_offset(perturb_col);
                 let width = made.config().input_block_sizes[perturb_col];
@@ -749,7 +651,7 @@ mod tests {
                 for v in &mut moved_in[off..off + width] {
                     *v += 17.0;
                 }
-                let moved = made.forward(&Matrix::from_vec(1, 12, moved_in));
+                let moved = made.forward_inference(&Matrix::from_vec(1, 12, moved_in));
                 for out_col in 0..=perturb_col {
                     let (o, len) = made.output_block(out_col);
                     for k in 0..len {
@@ -766,216 +668,120 @@ mod tests {
     #[test]
     fn first_column_output_ignores_all_inputs() {
         let mut rng = seeded_rng(12);
-        let mut made = Made::new(small_config(false), &mut rng);
-        let a = made.forward(&Matrix::full(1, 12, 0.0));
-        let b = made.forward(&Matrix::full(1, 12, 5.0));
+        let made = Made::new(small_config(false), &mut rng);
+        let a = made.forward_inference(&Matrix::full(1, 12, 0.0));
+        let b = made.forward_inference(&Matrix::full(1, 12, 5.0));
         let (o, len) = made.output_block(0);
         for k in 0..len {
             assert!((a.get(0, o + k) - b.get(0, o + k)).abs() < 1e-6);
         }
     }
 
-    #[test]
-    fn gradient_matches_finite_differences() {
-        let mut rng = seeded_rng(13);
-        let config = MadeConfig {
-            input_block_sizes: vec![2, 3],
-            output_block_sizes: vec![3, 2],
-            hidden_sizes: vec![8],
-            residual: false,
-        };
-        let mut made = Made::new(config.clone(), &mut rng);
-        let batch = 4;
-        let mut input = Matrix::zeros(batch, config.input_width());
-        for v in input.as_mut_slice() {
-            *v = rng.gen_range(-1.0..1.0);
-        }
-        let labels: Vec<Vec<usize>> = vec![vec![0, 1], vec![2, 0], vec![1, 1], vec![2, 0]];
-        let blocks = config.output_block_sizes.clone();
-
-        // Analytic gradient of the first weight parameter.
-        made.zero_grad();
-        let logits = made.forward(&input);
-        let (loss, grad_logits) = grouped_cross_entropy(&logits, &blocks, &labels);
-        let _ = made.backward(&grad_logits);
-        let mut analytic = Vec::new();
+    /// Nudge entry `idx` of the `param`-th visited parameter by `delta`.
+    fn nudge(made: &mut Made, param: usize, idx: usize, delta: f32) {
+        let mut k = 0;
         made.visit_params(&mut |p| {
-            if analytic.is_empty() {
-                analytic = p.grad.as_slice()[..6].to_vec();
+            if k == param {
+                p.data.as_mut_slice()[idx] += delta;
             }
+            k += 1;
         });
-        assert!(loss.is_finite());
-
-        // Finite differences on the same entries.
-        let eps = 1e-3f32;
-        for (idx, &ga) in analytic.iter().enumerate() {
-            let mut loss_plus = 0.0;
-            let mut loss_minus = 0.0;
-            for sign in [1.0f32, -1.0] {
-                let mut visited = false;
-                made.visit_params(&mut |p| {
-                    if !visited {
-                        p.data.as_mut_slice()[idx] += sign * eps;
-                        visited = true;
-                    }
-                });
-                let logits = made.forward_inference(&input);
-                let (l, _) = grouped_cross_entropy(&logits, &blocks, &labels);
-                if sign > 0.0 {
-                    loss_plus = l;
-                } else {
-                    loss_minus = l;
-                }
-                let mut visited = false;
-                made.visit_params(&mut |p| {
-                    if !visited {
-                        p.data.as_mut_slice()[idx] -= sign * eps;
-                        visited = true;
-                    }
-                });
-            }
-            let numeric = (loss_plus - loss_minus) / (2.0 * eps);
-            assert!(
-                (numeric - ga).abs() < 2e-2 * (1.0 + ga.abs()),
-                "finite-diff mismatch at {idx}: analytic {ga}, numeric {numeric}"
-            );
-        }
-    }
-
-    /// Collect a flat snapshot of every parameter gradient.
-    fn grad_snapshot(made: &mut Made) -> Vec<f32> {
-        let mut out = Vec::new();
-        made.visit_params(&mut |p| out.extend_from_slice(p.grad.as_slice()));
-        out
-    }
-
-    #[test]
-    fn backward_scratch_matches_allocating_backward_bitwise() {
-        // Both architectures × both input densities (the sparse capture only
-        // engages the fused first layer when the input is sparse enough; the
-        // dense fallback must be covered too).
-        for residual in [false, true] {
-            for nnz_prob in [0.25f32, 0.95] {
-                let mut rng = seeded_rng(16);
-                let config = small_config(residual);
-                let mut reference = Made::new(config.clone(), &mut rng);
-                let mut scratch = reference.clone();
-                let mut input = Matrix::zeros(5, config.input_width());
-                let mut vals = seeded_rng(17);
-                for v in input.as_mut_slice() {
-                    if vals.gen_range(0.0..1.0f32) < nnz_prob {
-                        *v = vals.gen_range(-1.0..1.0);
-                    }
-                }
-                let labels: Vec<Vec<usize>> = (0..5).map(|i| vec![i % 6, i % 2, i % 4]).collect();
-                let blocks = config.output_block_sizes.clone();
-
-                reference.zero_grad();
-                let logits_ref = reference.forward(&input);
-                let (_, grad_logits) = grouped_cross_entropy(&logits_ref, &blocks, &labels);
-                let input_grad_ref = reference.backward(&grad_logits);
-
-                scratch.zero_grad();
-                let mut tws = TrainWorkspace::new();
-                let mut sparse = SparseRows::new();
-                sparse.capture_from(&input);
-                let logits = scratch.forward_train_sparse(&input, Some(&sparse), &mut tws);
-                assert_eq!(logits.as_slice(), logits_ref.as_slice(), "forward diverged");
-                scratch.backward_scratch(&grad_logits, Some(&sparse), &mut tws, true);
-
-                assert_eq!(
-                    tws.input_grad().as_slice(),
-                    input_grad_ref.as_slice(),
-                    "input gradient diverged (residual={residual}, nnz={nnz_prob})"
-                );
-                assert_eq!(
-                    grad_snapshot(&mut scratch),
-                    grad_snapshot(&mut reference),
-                    "parameter gradients diverged (residual={residual}, nnz={nnz_prob})"
-                );
-            }
-        }
     }
 
     #[test]
     fn scratch_gradient_matches_finite_differences() {
-        let mut rng = seeded_rng(23);
-        let config = MadeConfig {
-            input_block_sizes: vec![2, 3],
-            output_block_sizes: vec![3, 2],
-            hidden_sizes: vec![8],
-            residual: false,
-        };
-        let mut made = Made::new(config.clone(), &mut rng);
-        let batch = 4;
-        let mut input = Matrix::zeros(batch, config.input_width());
-        // Mostly-zero input so the sparse first-layer path is the one under
-        // test (one-hot-like, as fill_input produces).
-        for v in input.as_mut_slice() {
-            if rng.gen_range(0.0..1.0f32) < 0.3 {
-                *v = rng.gen_range(-1.0..1.0);
-            }
-        }
-        let labels: Vec<Vec<usize>> = vec![vec![0, 1], vec![2, 0], vec![1, 1], vec![2, 0]];
-        let blocks = config.output_block_sizes.clone();
-
-        made.zero_grad();
-        let mut tws = TrainWorkspace::new();
-        let mut sparse = SparseRows::new();
-        sparse.capture_from(&input);
-        assert!(sparse.is_sparse_enough(), "test input must exercise the sparse path");
-        let logits = made.forward_train_sparse(&input, Some(&sparse), &mut tws).clone();
-        let (loss, grad_logits) = grouped_cross_entropy(&logits, &blocks, &labels);
-        made.backward_scratch(&grad_logits, Some(&sparse), &mut tws, false);
-        assert!(loss.is_finite());
-        let mut analytic = Vec::new();
-        made.visit_params(&mut |p| {
-            if analytic.is_empty() {
-                analytic = p.grad.as_slice()[..6].to_vec();
-            }
-        });
-
-        let eps = 1e-3f32;
-        for (idx, &ga) in analytic.iter().enumerate() {
-            let mut loss_plus = 0.0;
-            let mut loss_minus = 0.0;
-            for sign in [1.0f32, -1.0] {
-                let mut visited = false;
+        // Ground truth for every training variant: {sparse, dense} first
+        // layer x {plain MADE, ResMADE}, checked on entries of every
+        // parameter (so residual-block weights are covered) and on the
+        // input gradient the MPSN chain consumes.
+        for residual in [false, true] {
+            for sparse_input in [true, false] {
+                let ctx = format!("residual={residual}, sparse={sparse_input}");
+                let mut rng = seeded_rng(23);
+                let config = MadeConfig {
+                    input_block_sizes: vec![2, 3],
+                    output_block_sizes: vec![3, 2],
+                    hidden_sizes: vec![8, 8],
+                    residual,
+                };
+                let mut made = Made::new(config.clone(), &mut rng);
+                // Nonzero biases keep all-zero input rows off the ReLU kink,
+                // where a central difference straddles two slopes.
                 made.visit_params(&mut |p| {
-                    if !visited {
-                        p.data.as_mut_slice()[idx] += sign * eps;
-                        visited = true;
+                    if p.data.rows() == 1 {
+                        p.data
+                            .as_mut_slice()
+                            .iter_mut()
+                            .for_each(|b| *b = rng.gen_range(-0.2..0.2));
                     }
                 });
-                let logits = made.forward_inference(&input);
-                let (l, _) = grouped_cross_entropy(&logits, &blocks, &labels);
-                if sign > 0.0 {
-                    loss_plus = l;
-                } else {
-                    loss_minus = l;
+                let batch = 4;
+                let mut input = Matrix::zeros(batch, config.input_width());
+                // Mostly-zero (one-hot-like, as fill_input produces) or fully
+                // dense input.
+                let nnz_prob = if sparse_input { 0.3 } else { 1.0 };
+                for v in input.as_mut_slice() {
+                    if rng.gen_range(0.0..1.0f32) < nnz_prob {
+                        *v = rng.gen_range(-1.0..1.0);
+                    }
                 }
-                let mut visited = false;
-                made.visit_params(&mut |p| {
-                    if !visited {
-                        p.data.as_mut_slice()[idx] -= sign * eps;
-                        visited = true;
+                let labels: Vec<Vec<usize>> = vec![vec![0, 1], vec![2, 0], vec![1, 1], vec![2, 0]];
+                let blocks = config.output_block_sizes.clone();
+
+                made.zero_grad();
+                let mut tws = TrainWorkspace::new();
+                let mut sparse = SparseRows::new();
+                sparse.capture_from(&input);
+                assert_eq!(sparse.is_sparse_enough(), sparse_input, "{ctx}");
+                let logits = made.forward_train_sparse(&input, Some(&sparse), &mut tws).clone();
+                let (loss, grad_logits) = grouped_cross_entropy(&logits, &blocks, &labels);
+                made.backward_scratch(&grad_logits, Some(&sparse), &mut tws, true);
+                assert!(loss.is_finite());
+                let mut analytic: Vec<Vec<f32>> = Vec::new();
+                made.visit_params(&mut |p| analytic.push(p.grad.as_slice().to_vec()));
+                let input_grad = tws.input_grad().clone();
+
+                let eps = 1e-3f32;
+                let loss_at = |made: &Made, x: &Matrix| {
+                    grouped_cross_entropy(&made.forward_inference(x), &blocks, &labels).0
+                };
+                let check = |ga: f32, numeric: f32, what: String| {
+                    assert!(
+                        (numeric - ga).abs() < 2e-2 * (1.0 + ga.abs()),
+                        "finite-diff mismatch at {what} ({ctx}): analytic {ga}, numeric {numeric}"
+                    );
+                };
+                for (param, grads) in analytic.iter().enumerate() {
+                    let n = grads.len();
+                    for idx in [0, 1, n / 3, n / 2, n - 1] {
+                        nudge(&mut made, param, idx, eps);
+                        let plus = loss_at(&made, &input);
+                        nudge(&mut made, param, idx, -2.0 * eps);
+                        let minus = loss_at(&made, &input);
+                        nudge(&mut made, param, idx, eps);
+                        let numeric = (plus - minus) / (2.0 * eps);
+                        check(grads[idx], numeric, format!("param {param}[{idx}]"));
                     }
-                });
+                }
+                for idx in 0..input.len() {
+                    let mut x = input.clone();
+                    x.as_mut_slice()[idx] += eps;
+                    let plus = loss_at(&made, &x);
+                    x.as_mut_slice()[idx] -= 2.0 * eps;
+                    let minus = loss_at(&made, &x);
+                    let numeric = (plus - minus) / (2.0 * eps);
+                    check(input_grad.as_slice()[idx], numeric, format!("input[{idx}]"));
+                }
             }
-            let numeric = (loss_plus - loss_minus) / (2.0 * eps);
-            assert!(
-                (numeric - ga).abs() < 2e-2 * (1.0 + ga.abs()),
-                "finite-diff mismatch at {idx}: analytic {ga}, numeric {numeric}"
-            );
         }
     }
 
     #[test]
-    #[should_panic(expected = "backward called before forward")]
-    fn old_backward_after_sparse_forward_panics() {
+    #[should_panic(expected = "pass the same sparse input to backward")]
+    fn dense_backward_after_sparse_forward_panics() {
         // The sparse training forward deliberately drops the dense input
-        // cache: a stale old-API backward must fail loudly, not silently use
-        // the previous batch's input.
+        // cache: a backward without the sparse capture must fail loudly, not
+        // silently use the previous batch's input.
         let mut rng = seeded_rng(24);
         let config = small_config(false);
         let mut made = Made::new(config.clone(), &mut rng);
@@ -984,7 +790,7 @@ mod tests {
         let mut sparse = SparseRows::new();
         sparse.capture_from(&input);
         let _ = made.forward_train_sparse(&input, Some(&sparse), &mut tws);
-        let _ = made.backward(&Matrix::zeros(2, config.output_width()));
+        made.backward_scratch(&Matrix::zeros(2, config.output_width()), None, &mut tws, false);
     }
 
     #[test]
@@ -1010,9 +816,9 @@ mod tests {
             hidden_sizes: vec![8],
             residual: false,
         };
-        let mut made = Made::new(config, &mut rng);
-        let a = made.forward(&Matrix::full(1, 5, 0.0));
-        let b = made.forward(&Matrix::full(1, 5, 3.0));
+        let made = Made::new(config, &mut rng);
+        let a = made.forward_inference(&Matrix::full(1, 5, 0.0));
+        let b = made.forward_inference(&Matrix::full(1, 5, 3.0));
         // With one column the output is unconditional: inputs must not matter.
         for k in 0..7 {
             assert!((a.get(0, k) - b.get(0, k)).abs() < 1e-6);

@@ -1,12 +1,18 @@
 //! A plain multi-layer perceptron (`Linear` + ReLU stack) used by the MSCN
-//! baseline and by Duet's MLP-based MPSN predicate embedder.
+//! baseline and by Duet's MLP-based MPSN predicate embedders.
+//!
+//! Serving runs [`InferLayer::infer_into`]; training runs
+//! [`Mlp::forward_train`] then [`Mlp::backward_scratch`] through a
+//! [`TrainWorkspace`]. The training forward keeps each hidden layer's
+//! pre-activation for its ReLU gate, and each [`Linear`] caches its own
+//! (rectified) input.
 
-use crate::activation::{Activation, ReLU};
+use crate::activation::{relu_gate, Activation};
 use crate::init::Init;
 use crate::linear::Linear;
-use crate::param::{InferLayer, Layer, Param};
+use crate::param::{InferLayer, Param, Trainable};
 use crate::tensor::Matrix;
-use crate::workspace::ForwardWorkspace;
+use crate::workspace::{ForwardWorkspace, TrainWorkspace};
 use rand::rngs::SmallRng;
 
 /// A feed-forward network: `Linear -> ReLU -> ... -> Linear` (no activation on
@@ -14,7 +20,8 @@ use rand::rngs::SmallRng;
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    relus: Vec<ReLU>,
+    /// Pre-activation of every hidden layer from the last training forward.
+    pre: Vec<Matrix>,
     sizes: Vec<usize>,
 }
 
@@ -25,15 +32,10 @@ impl Mlp {
     /// Panics if fewer than two sizes are given.
     pub fn new(sizes: &[usize], rng: &mut SmallRng) -> Self {
         assert!(sizes.len() >= 2, "an MLP needs at least input and output sizes");
-        let mut layers = Vec::with_capacity(sizes.len() - 1);
-        let mut relus = Vec::new();
-        for w in sizes.windows(2) {
-            layers.push(Linear::new(w[0], w[1], Init::KaimingUniform, rng));
-        }
-        for _ in 0..layers.len().saturating_sub(1) {
-            relus.push(ReLU::new());
-        }
-        Self { layers, relus, sizes: sizes.to_vec() }
+        let layers: Vec<Linear> =
+            sizes.windows(2).map(|w| Linear::new(w[0], w[1], Init::KaimingUniform, rng)).collect();
+        let pre = vec![Matrix::default(); layers.len() - 1];
+        Self { layers, pre, sizes: sizes.to_vec() }
     }
 
     /// The layer sizes this MLP was built with.
@@ -62,37 +64,58 @@ impl Mlp {
         self.infer_into(input, &mut ws).clone()
     }
 
-    /// Scratch-buffer backward: the allocation-free replacement for
-    /// [`Layer::backward`], bit-identical to it. The gradient ping-pongs
-    /// between the two caller buffers `ga`/`gb` (an MLP has no residual
-    /// skips, so two suffice), ReLU gates run in place, and `dW`/`db` are
-    /// staged in `dw`/`db` before accumulating into the parameter gradients
-    /// (preserving the allocating path's rounding order). Returns the
-    /// gradient w.r.t. the input (a reference into `ga` or `gb`) when
-    /// `need_input_grad` is set.
-    pub fn backward_scratch<'a>(
-        &mut self,
-        grad_out: &Matrix,
-        ga: &'a mut Matrix,
-        gb: &'a mut Matrix,
-        dw: &mut Matrix,
-        db: &mut Vec<f32>,
-        need_input_grad: bool,
-    ) -> Option<&'a Matrix> {
+    /// The training forward: refills every layer's backward cache in place
+    /// (hidden pre-activations here, layer inputs in each [`Linear`]) and
+    /// returns the output, which lives in `tws` until the next pass
+    /// overwrites it. Allocation-free once warm, and bit-identical to
+    /// [`InferLayer::infer_into`] for finite inputs.
+    pub fn forward_train<'w>(&mut self, input: &Matrix, tws: &'w mut TrainWorkspace) -> &'w Matrix {
+        let (acts, _, _) = tws.parts(1);
+        let out = &mut acts[0];
         let last = self.layers.len() - 1;
-        self.layers[last].backward_scratch(grad_out, dw, db, Some(&mut *ga));
-        // Which buffer holds the live gradient: `ga` when false, `gb` when true.
-        let mut flip = false;
-        for i in (0..last).rev() {
-            let (cur, next) = if flip { (&mut *gb, &mut *ga) } else { (&mut *ga, &mut *gb) };
-            self.relus[i].gate_inplace(cur);
-            let want = i > 0 || need_input_grad;
-            self.layers[i].backward_scratch(cur, dw, db, if want { Some(next) } else { None });
-            if want {
-                flip = !flip;
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            let (done, rest) = self.pre.split_at_mut(i);
+            let dst = if i < last { &mut rest[0] } else { &mut *out };
+            match i {
+                0 => layer.forward_train(input, Activation::Identity, dst),
+                _ => layer.forward_train(&done[i - 1], Activation::Relu, dst),
             }
         }
-        need_input_grad.then_some(if flip { &*gb } else { &*ga })
+        &acts[0]
+    }
+
+    /// Scratch-buffer backward for the most recent [`Mlp::forward_train`].
+    /// The gradient ping-pongs between two of the workspace's gradient
+    /// buffers (an MLP has no residual skips), ReLU gates run in place, and
+    /// `dW`/`db` are staged in workspace scratch before accumulating into
+    /// the parameter gradients. With `need_input_grad` the gradient w.r.t.
+    /// the input is left readable via [`TrainWorkspace::input_grad`].
+    ///
+    /// # Panics
+    /// Panics if called before a training forward.
+    pub fn backward_scratch(
+        &mut self,
+        grad_out: &Matrix,
+        tws: &mut TrainWorkspace,
+        need_input_grad: bool,
+    ) {
+        let (grads, dw, db, _) = tws.backward_parts();
+        let last = self.layers.len() - 1;
+        let want = last > 0 || need_input_grad;
+        self.layers[last].backward_scratch(grad_out, dw, db, want.then_some(&mut grads[0]));
+        // Index of the grads buffer holding the live gradient.
+        let mut cur = 0usize;
+        for i in (0..last).rev() {
+            let [a, b, _] = &mut *grads;
+            let (g, next) = if cur == 0 { (a, b) } else { (b, a) };
+            relu_gate(g.as_mut_slice(), self.pre[i].as_slice());
+            let want = i > 0 || need_input_grad;
+            self.layers[i].backward_scratch(g, dw, db, want.then_some(next));
+            if want {
+                cur = 1 - cur;
+            }
+        }
+        tws.set_input_grad_slot(cur);
     }
 }
 
@@ -111,30 +134,7 @@ impl InferLayer for Mlp {
     }
 }
 
-impl Layer for Mlp {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut x = input.clone();
-        let last = self.layers.len() - 1;
-        for i in 0..self.layers.len() {
-            x = self.layers[i].forward(&x);
-            if i < last {
-                x = self.relus[i].forward(&x);
-            }
-        }
-        x
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        // The last layer consumes `grad_out` by reference — no upfront clone.
-        let last = self.layers.len() - 1;
-        let mut grad = self.layers[last].backward(grad_out);
-        for i in (0..last).rev() {
-            grad = self.relus[i].backward(&grad);
-            grad = self.layers[i].backward(&grad);
-        }
-        grad
-    }
-
+impl Trainable for Mlp {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(f);
@@ -153,7 +153,8 @@ mod tests {
     fn shapes_are_correct() {
         let mut rng = seeded_rng(20);
         let mut mlp = Mlp::new(&[4, 8, 3], &mut rng);
-        let y = mlp.forward(&Matrix::zeros(5, 4));
+        let mut tws = TrainWorkspace::new();
+        let y = mlp.forward_train(&Matrix::zeros(5, 4), &mut tws);
         assert_eq!(y.shape(), (5, 3));
         assert_eq!(mlp.in_features(), 4);
         assert_eq!(mlp.out_features(), 3);
@@ -162,13 +163,12 @@ mod tests {
     #[test]
     fn inference_path_matches_training_path() {
         let mut rng = seeded_rng(21);
-        let mut mlp = Mlp::new(&[3, 6, 2], &mut rng);
+        let mut mlp = Mlp::new(&[3, 6, 6, 2], &mut rng);
         let x = Matrix::from_vec(2, 3, vec![0.1, -0.4, 0.9, 1.2, 0.0, -0.7]);
-        let a = mlp.forward(&x);
+        let mut tws = TrainWorkspace::new();
+        let a = mlp.forward_train(&x, &mut tws).clone();
         let b = mlp.forward_inference(&x);
-        for (u, v) in a.as_slice().iter().zip(b.as_slice()) {
-            assert!((u - v).abs() < 1e-6);
-        }
+        assert_eq!(a.as_slice(), b.as_slice());
     }
 
     #[test]
@@ -178,45 +178,17 @@ mod tests {
         let xs = Matrix::from_vec(4, 2, vec![0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]);
         let ys = Matrix::from_vec(4, 1, vec![0.0, 1.0, 1.0, 0.0]);
         let mut adam = Adam::new(0.02);
+        let mut tws = TrainWorkspace::new();
         let mut final_loss = f32::MAX;
         for _ in 0..2000 {
             mlp.zero_grad();
-            let pred = mlp.forward(&xs);
-            let (loss, grad) = mse(&pred, &ys);
-            let _ = mlp.backward(&grad);
+            let pred = mlp.forward_train(&xs, &mut tws);
+            let (loss, grad) = mse(pred, &ys);
+            mlp.backward_scratch(&grad, &mut tws, false);
             adam.step(&mut mlp);
             final_loss = loss;
         }
         assert!(final_loss < 0.03, "MLP failed to learn XOR, loss = {final_loss}");
-    }
-
-    #[test]
-    fn backward_scratch_matches_allocating_backward_bitwise() {
-        let mut rng = seeded_rng(24);
-        let mut reference = Mlp::new(&[3, 8, 8, 2], &mut rng);
-        let mut scratch = reference.clone();
-        let x = Matrix::from_vec(2, 3, vec![0.1, -0.4, 0.9, 1.2, 0.0, -0.7]);
-        let target = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
-
-        reference.zero_grad();
-        let pred = reference.forward(&x);
-        let (_, grad) = mse(&pred, &target);
-        let input_grad_ref = reference.backward(&grad);
-
-        scratch.zero_grad();
-        let pred2 = scratch.forward(&x);
-        assert_eq!(pred2.as_slice(), pred.as_slice());
-        let (mut ga, mut gb) = (Matrix::default(), Matrix::default());
-        let (mut dw, mut db) = (Matrix::default(), Vec::new());
-        let input_grad =
-            scratch.backward_scratch(&grad, &mut ga, &mut gb, &mut dw, &mut db, true).unwrap();
-        assert_eq!(input_grad.as_slice(), input_grad_ref.as_slice());
-
-        let mut want = Vec::new();
-        reference.visit_params(&mut |p| want.extend_from_slice(p.grad.as_slice()));
-        let mut got = Vec::new();
-        scratch.visit_params(&mut |p| got.extend_from_slice(p.grad.as_slice()));
-        assert_eq!(got, want);
     }
 
     #[test]

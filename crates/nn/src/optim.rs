@@ -1,10 +1,10 @@
-//! First-order optimizers operating on any [`Layer`]'s parameters.
+//! First-order optimizers operating on any [`Trainable`]'s parameters.
 //!
 //! The optimizer keeps its per-parameter state (Adam moments) in the order the
 //! layer visits its parameters, so the same layer instance must be used for
 //! every step.
 
-use crate::param::Layer;
+use crate::param::Trainable;
 
 /// Gradient clipping configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,8 +77,8 @@ impl Adam {
 
     /// Apply one update using the gradients currently stored in the layer's
     /// parameters, then leave the gradients untouched (call
-    /// [`Layer::zero_grad`] before the next backward pass).
-    pub fn step(&mut self, layer: &mut dyn Layer) {
+    /// [`Trainable::zero_grad`] before the next backward pass).
+    pub fn step(&mut self, layer: &mut dyn Trainable) {
         self.step += 1;
         let t = self.step as f32;
         let bias1 = 1.0 - self.beta1.powf(t);
@@ -137,7 +137,7 @@ impl Sgd {
     }
 
     /// Apply `data -= lr * grad` to every parameter.
-    pub fn step(&mut self, layer: &mut dyn Layer) {
+    pub fn step(&mut self, layer: &mut dyn Trainable) {
         let lr = self.lr;
         layer.visit_params(&mut |p| {
             let data = p.data.as_mut_slice();
@@ -155,10 +155,10 @@ impl Sgd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::Activation;
     use crate::init::{seeded_rng, Init};
     use crate::linear::Linear;
     use crate::loss::mse;
-    use crate::param::Layer;
     use crate::tensor::Matrix;
 
     fn train_regression(optimizer: &mut dyn FnMut(&mut Linear), steps: usize) -> f32 {
@@ -167,12 +167,13 @@ mod tests {
         // Learn y = 3x + 1.
         let xs = Matrix::from_vec(8, 1, (0..8).map(|i| i as f32 / 8.0).collect());
         let ys = Matrix::from_vec(8, 1, (0..8).map(|i| 3.0 * i as f32 / 8.0 + 1.0).collect());
+        let (mut pred, mut dw, mut db) = (Matrix::default(), Matrix::default(), Vec::new());
         let mut last = f32::MAX;
         for _ in 0..steps {
             layer.zero_grad();
-            let pred = layer.forward(&xs);
+            layer.forward_train(&xs, Activation::Identity, &mut pred);
             let (loss, grad) = mse(&pred, &ys);
-            let _ = layer.backward(&grad);
+            layer.backward_scratch(&grad, &mut dw, &mut db, None);
             optimizer(&mut layer);
             last = loss;
         }

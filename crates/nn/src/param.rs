@@ -1,17 +1,20 @@
-//! Trainable parameters and the layer abstractions shared by all networks.
+//! Trainable parameters and the traits shared by all networks.
 //!
-//! Two traits split the forward path by purpose:
+//! Two traits split a network's surface by job:
 //!
-//! * [`Layer`] is the **training** abstraction: `forward` caches whatever the
-//!   matching `backward` needs (inputs, pre-activations), so it takes `&mut
-//!   self` and costs memory per call;
-//! * [`InferLayer`] is the **inference** abstraction: `infer_into` runs the
-//!   same computation through a caller-provided
-//!   [`ForwardWorkspace`], caching
+//! * [`Trainable`] hands out its parameters, in a fixed order, to the
+//!   optimizers and the checkpoint codec;
+//! * [`InferLayer`] is the **inference** forward: `infer_into` runs the
+//!   network through a caller-provided [`ForwardWorkspace`], caching
 //!   nothing and allocating nothing once the workspace is warm. It takes
 //!   `&self`, so a model behind an `Arc` can serve concurrent readers.
 //!
-//! Both paths are bit-identical for the same weights and input.
+//! Training runs on inherent `forward_train`/`backward_scratch` methods
+//! (see [`Mlp`](crate::mlp::Mlp) and [`Made`](crate::made::Made)): the
+//! forward refills each layer's backward cache (input, pre-activation) in
+//! place and the backward ping-pongs gradients through a
+//! [`TrainWorkspace`](crate::workspace::TrainWorkspace). The training
+//! forward is bit-identical to `infer_into` for the same weights and input.
 
 use crate::tensor::Matrix;
 use crate::workspace::ForwardWorkspace;
@@ -59,7 +62,7 @@ impl WeightKey {
 pub struct Param {
     /// Current value.
     pub data: Matrix,
-    /// Gradient of the loss w.r.t. `data`, accumulated by `backward` calls.
+    /// Gradient of the loss w.r.t. `data`, accumulated by backward passes.
     pub grad: Matrix,
 }
 
@@ -86,21 +89,10 @@ impl Param {
     }
 }
 
-/// A differentiable module with cached activations.
-///
-/// The contract is the usual one for define-by-hand backprop:
-/// `forward` must be called before `backward`, and `backward` must be given
-/// the gradient of the loss w.r.t. the output of the *most recent* forward.
-pub trait Layer {
-    /// Compute the output for `input` (a batch: one row per example), caching
-    /// whatever is needed for the backward pass.
-    fn forward(&mut self, input: &Matrix) -> Matrix;
-
-    /// Propagate `grad_out` (dL/d output) back, accumulating parameter
-    /// gradients and returning dL/d input.
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix;
-
-    /// Visit every trainable parameter (for optimizers / serialization).
+/// A module with trainable parameters.
+pub trait Trainable {
+    /// Visit every trainable parameter (for optimizers / serialization), in
+    /// an order fixed by the architecture.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
 
     /// Total number of scalar parameters.
@@ -125,18 +117,9 @@ pub trait Layer {
 pub trait InferLayer {
     /// Run the forward computation for `input` (a batch: one row per
     /// example) and return a reference to the output, which lives in `ws`
-    /// until the next pass overwrites it. Bit-identical to the training
-    /// [`Layer::forward`] for the same weights.
+    /// until the next pass overwrites it. Bit-identical to the network's
+    /// training forward for the same weights.
     fn infer_into<'w>(&self, input: &Matrix, ws: &'w mut ForwardWorkspace) -> &'w Matrix;
-}
-
-/// Store a copy of `input` in a training cache slot, reusing the previous
-/// cached buffer's allocation instead of cloning a fresh one every step.
-pub(crate) fn cache_input(slot: &mut Option<Matrix>, input: &Matrix) {
-    match slot {
-        Some(cached) => cached.copy_from(input),
-        None => *slot = Some(input.clone()),
-    }
 }
 
 #[cfg(test)]

@@ -253,25 +253,12 @@ impl Matrix {
         }
     }
 
-    /// Sum of every column across rows, producing a vector of length `cols`.
-    pub fn column_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols];
-        self.column_sums_slice(&mut out);
-        out
-    }
-
-    /// [`Matrix::column_sums`] into a caller-provided buffer (cleared and
-    /// resized to `cols`, reusing its capacity — no allocation once warm).
-    /// Same row-ascending accumulation order as the allocating variant, so
-    /// the results are bit-identical.
+    /// Sum of every column across rows into a caller-provided buffer
+    /// (cleared and resized to `cols`, reusing its capacity — no allocation
+    /// once warm), accumulating rows in ascending order.
     pub fn column_sums_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.resize(self.cols, 0.0);
-        self.column_sums_slice(out);
-    }
-
-    /// Shared accumulation loop of the `column_sums` variants.
-    fn column_sums_slice(&self, out: &mut [f32]) {
         for row in self.data.chunks_exact(self.cols) {
             for (o, x) in out.iter_mut().zip(row.iter()) {
                 *o += *x;
@@ -741,7 +728,9 @@ mod tests {
     #[test]
     fn column_sums_sums_rows() {
         let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(m.column_sums(), vec![5.0, 7.0, 9.0]);
+        let mut sums = vec![1.0; 7];
+        m.column_sums_into(&mut sums);
+        assert_eq!(sums, vec![5.0, 7.0, 9.0]);
     }
 
     #[test]

@@ -36,6 +36,9 @@ use std::sync::{Arc, RwLock};
 /// Source of [`ModelSlot::uid`] values: process-wide, never reused.
 static NEXT_SLOT_UID: AtomicU64 = AtomicU64::new(1);
 
+/// Process-wide counter that makes every spill file name unique.
+static NEXT_SPILL_NONCE: AtomicU64 = AtomicU64::new(0);
+
 /// Where an evicted model's checkpoint bytes live.
 ///
 /// Both forms hold **sealed** [`duet_core::save_weights`] frames: a magic
@@ -298,7 +301,13 @@ impl ModelSlot {
         let store = match spill_dir {
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
-                let path = dir.join(format!("slot-{}-gen-{generation}.duetckpt", self.uid));
+                // Two shard workers may evict the same slot at once: a
+                // per-eviction nonce keeps their files apart, so the racer
+                // that loses the `still_current` check below discards only
+                // its own spill, never the winner's.
+                let nonce = NEXT_SPILL_NONCE.fetch_add(1, Ordering::Relaxed);
+                let name = format!("slot-{}-gen-{generation}-{nonce}.duetckpt", self.uid);
+                let path = dir.join(&name);
                 // Crash-safe spill: write to a temporary sibling and rename
                 // into place, so a crash or full disk mid-write can never
                 // leave a half-written file under the final name. Then read
@@ -306,7 +315,7 @@ impl ModelSlot {
                 // BEFORE dropping the resident model — the checkpoint is
                 // about to become the only copy of these weights, so a torn
                 // or bit-flipped write must keep the model resident instead.
-                let tmp = dir.join(format!("slot-{}-gen-{generation}.duetckpt.tmp", self.uid));
+                let tmp = dir.join(format!("{name}.tmp"));
                 std::fs::write(&tmp, &checkpoint)?;
                 std::fs::rename(&tmp, &path)?;
                 let written = std::fs::read(&path)?;

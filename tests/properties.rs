@@ -150,7 +150,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use duet::nn::{
-    rowvec_matmul_into, Activation, ForwardWorkspace, InferLayer, Layer, Made, MadeConfig, Matrix,
+    rowvec_matmul_into, Activation, ForwardWorkspace, InferLayer, Made, MadeConfig, Matrix,
+    TrainWorkspace,
 };
 
 /// Deterministic pseudo-random matrix (LCG, no `rand` dependency).
@@ -226,8 +227,8 @@ proptest! {
     }
 
     /// A workspace-threaded MADE inference pass is bit-identical to the
-    /// caching training forward, including across reuses of one workspace
-    /// for different batch sizes (both plain MADE and ResMADE).
+    /// checkpointing training forward, including across reuses of both
+    /// workspaces for different batch sizes (both plain MADE and ResMADE).
     #[test]
     fn made_infer_into_matches_training_forward(
         batch in 1usize..8,
@@ -244,10 +245,11 @@ proptest! {
         let mut rng = seeded_rng(seed);
         let mut made = Made::new(config, &mut rng);
         let mut ws = ForwardWorkspace::new();
+        let mut tws = TrainWorkspace::new();
         for round in 0..3u64 {
             let rows = 1 + (batch + round as usize) % 8;
             let x = lcg_matrix(rows, 9, seed ^ round);
-            let trained = made.forward(&x);
+            let trained = made.forward_train(&x, &mut tws);
             let inferred = made.infer_into(&x, &mut ws);
             prop_assert_eq!(inferred.as_slice(), trained.as_slice());
         }
